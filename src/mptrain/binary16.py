@@ -58,10 +58,6 @@ def f32_bits(x: float) -> int:
         return 0xFF800000 if x < 0 else 0x7F800000
 
 
-def f32_from_bits(bits: int) -> float:
-    return struct.unpack("<f", struct.pack("<I", bits))[0]
-
-
 def _round_shift_rne(sig: int, shift: int) -> int:
     """Round sig / 2^shift to the nearest integer, ties to even."""
     if shift <= 0:

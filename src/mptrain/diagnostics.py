@@ -12,6 +12,7 @@ trajectories are bit-identical with and without it.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -44,8 +45,10 @@ class ExponentHistogram:
         return n / self.total
 
     def check(self) -> None:
-        assert self.zero_count + sum(self.bins.values()) + self.nonfinite_count \
-            == self.total
+        if self.zero_count + sum(self.bins.values()) + self.nonfinite_count \
+                != self.total:
+            raise ValueError(f"histogram counts do not add up to its total "
+                             f"{self.total}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,10 @@ def merge(a: ExponentHistogram, b: ExponentHistogram) -> ExponentHistogram:
     return out
 
 
-def empty(dtype: DType) -> ExponentHistogram:
-    return ExponentHistogram(dtype=dtype)
+def _merged(tensors) -> ExponentHistogram | None:
+    """Histogram of every tensor that is not None, merged in order."""
+    hists = [histogram(t) for t in tensors if t is not None]
+    return functools.reduce(merge, hists) if hists else None
 
 
 def report(h: ExponentHistogram, thresholds: tuple[int, ...] = (-24, -27)
@@ -142,12 +147,6 @@ def csv_name(run_id: str, role: str, iteration: int) -> str:
     return f"hist_{run_id}_{role}_iter{iteration:06d}.csv"
 
 
-def sample_hook(every_n: int, out_dir=None, run_id: str = "run",
-                unscaled_too: bool = False) -> "SampleHook":
-    """Build a training-loop attachment sampling every_n iterations."""
-    return SampleHook(every_n, out_dir, run_id, unscaled_too)
-
-
 class SampleHook:
     """Training-loop attachment: every_n iterations it histograms the
     weight gradients and activation gradients (as stored, i.e. before
@@ -167,25 +166,12 @@ class SampleHook:
                  unscaled: dict[str, np.ndarray]) -> None:
         if iteration % self.every_n != 0:
             return
-        weight_h = None
-        for g in grads.weights.values():
-            gh = histogram(g)
-            weight_h = gh if weight_h is None else merge(weight_h, gh)
-        act_h = None
-        for a in grads.activations:
-            if a is None:
-                continue
-            ah = histogram(a)
-            act_h = ah if act_h is None else merge(act_h, ah)
-        cap = {"iteration": iteration, "weight_grad": weight_h,
-               "act_grad": act_h}
+        cap = {"iteration": iteration,
+               "weight_grad": _merged(grads.weights.values()),
+               "act_grad": _merged(grads.activations)}
         if self.unscaled_too:
-            uh = None
-            for arr in unscaled.values():
-                t = T.store(arr, DType.F32)
-                th = histogram(t)
-                uh = th if uh is None else merge(uh, th)
-            cap["weight_grad_unscaled"] = uh
+            cap["weight_grad_unscaled"] = _merged(
+                T.store(arr, DType.F32) for arr in unscaled.values())
         self.captures.append(cap)
         if self.out_dir is not None:
             for role in ("weight_grad", "act_grad"):

@@ -284,6 +284,16 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+def _read_input(read, path, *args):
+    """read(path, *args), with a missing or malformed file as a DataError."""
+    try:
+        return read(path, *args)
+    except DataError:
+        raise
+    except (OSError, ValueError, KeyError, IndexError) as e:
+        raise DataError(f"cannot read {path}: {e}") from e
+
+
 def _open_idx(path):
     gz = str(path) + ".gz"
     if os.path.exists(path):
@@ -303,7 +313,11 @@ def _read_idx(path, expect_magic: int) -> np.ndarray:
             raise DataError(f"{path}: expected magic 0x{expect_magic:08X}, "
                             f"found 0x{magic:08X}")
         ndim = magic & 0xFF
-        dims = struct.unpack(f">{ndim}I", fh.read(4 * ndim))
+        raw_dims = fh.read(4 * ndim)
+        if len(raw_dims) != 4 * ndim:
+            raise DataError(f"{path}: truncated dimensions ({len(raw_dims)} "
+                            f"of {4 * ndim} bytes)")
+        dims = struct.unpack(f">{ndim}I", raw_dims)
         count = int(np.prod(dims))
         raw = fh.read(count)
         if len(raw) != count:
@@ -681,7 +695,7 @@ def emit_plot(csv_paths: list, out_path, metric: Optional[str] = None,
     series = []
     metric_name = metric
     for p in csv_paths:
-        name, x, y = _read_metric_csv(p, metric)
+        name, x, y = _read_input(_read_metric_csv, p, metric)
         metric_name = metric_name or name
         label = os.path.basename(os.path.dirname(os.path.abspath(p))) or \
             os.path.basename(p)
@@ -809,13 +823,15 @@ def _cmd_compare(args) -> int:
 def _cmd_histogram(args) -> int:
     path = args.source
     if path.endswith(".csv"):
-        h = diag.read_csv(path)
+        h = _read_input(diag.read_csv, path)
         print(f"{path}: total={h.total} zero={h.zero_count} "
               f"nonfinite={h.nonfinite_count}")
         for e in sorted(h.bins):
             print(f"  2^{e:+d}: {h.bins[e]}")
         return 0
-    model, params = eng.load_checkpoint(path)
+    model, params = _read_input(eng.load_checkpoint, path)
+    if not params:
+        raise DataError(f"{path}: checkpoint holds no parameters")
     out_dir = args.output_dir or os.path.dirname(os.path.abspath(path))
     merged = None
     for name, p in params.items():

@@ -245,12 +245,6 @@ def suggest_constant_scale(max_abs_grad: float) -> float:
     return p
 
 
-def scaler_update(scaler, overflow: bool):
-    """State-machine step; returns the scaler for chaining."""
-    scaler.update(overflow)
-    return scaler
-
-
 def sgd_step(params: dict[str, Parameter], unscaled: dict[str, np.ndarray],
              lr: float, momentum: float = 0.0, nesterov: bool = False,
              use_master: bool = True) -> None:

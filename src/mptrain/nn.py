@@ -48,11 +48,7 @@ class TapeEntry:
 @dataclass
 class ActivationTape:
     entries: list[TapeEntry]
-    inputs: Tensor
-    targets: object
     policy: PrecisionPolicy
-    batch_size: int
-    loss: float
 
 
 @dataclass
@@ -89,8 +85,8 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, dy: Tensor, params: dict[str, Tensor],
-                 policy: PrecisionPolicy, rec: TapeEntry
-                 ) -> tuple[Tensor, dict[str, Tensor]]:
+                 policy: PrecisionPolicy, rec: TapeEntry, want_dx: bool = True
+                 ) -> tuple[Optional[Tensor], dict[str, Tensor]]:
         raise NotImplementedError
 
     def forward_ref(self, x: np.ndarray, params: dict[str, np.ndarray],
@@ -140,10 +136,8 @@ class Linear(Layer):
         return _store(acc, policy)  # bias joins in f32, one store
 
     def backward(self, dy, params, policy, rec, want_dx=True):
-        x = rec.tensors["x"]
-        grads = {}
-        grads["weight"] = T.matmul(T.transpose(x), dy, policy.accum,
-                                   policy.compute_dtype)
+        grads = {"weight": T.matmul(T.transpose(rec.tensors["x"]), dy,
+                                    policy.accum, policy.compute_dtype)}
         if self.bias:
             grads["bias"] = T.store(T.seq_sum(dy.widen(), axis=0),
                                     policy.compute_dtype)
@@ -219,10 +213,7 @@ class Conv2d(Layer):
     def forward(self, x, params, policy, rec, train, state, prefix):
         b, c, h, w, oh, ow = self._geometry(x.shape)
         cols = self._im2col_bits(x.data, oh, ow)
-        if x.dtype is DType.F16:
-            cols_t = T.wrap_f16_bits(cols)
-        else:
-            cols_t = T.Tensor(cols.shape, DType.F32, cols.copy())
+        cols_t = T.Tensor(cols.shape, x.dtype, cols)
         wmat = T.reshape(params["weight"],
                          (self.out_channels, c * self.kh * self.kw))
         acc = T.matmul(cols_t, T.transpose(wmat), policy.accum, DType.F32).data
@@ -231,9 +222,8 @@ class Conv2d(Layer):
         rec.tensors["x"] = x
         rec.tensors["cols"] = cols_t
         rec.f32["geometry"] = np.array([b, oh, ow])
-        out = y.data.reshape(b, oh, ow, self.out_channels)
-        out = np.ascontiguousarray(np.transpose(out, (0, 3, 1, 2)))
-        return T.Tensor(out.shape, policy.compute_dtype, out)
+        return T.transpose(T.reshape(y, (b, oh, ow, self.out_channels)),
+                           (0, 3, 1, 2))
 
     def backward(self, dy, params, policy, rec, want_dx=True):
         x = rec.tensors["x"]
@@ -241,10 +231,8 @@ class Conv2d(Layer):
         b, c, h, w, oh, ow = self._geometry(x.shape)
         p, s = self.pad, self.stride
 
-        dy2d = np.ascontiguousarray(
-            np.transpose(dy.data, (0, 2, 3, 1))).reshape(b * oh * ow,
-                                                         self.out_channels)
-        dy_t = T.Tensor(dy2d.shape, dy.dtype, dy2d.copy())
+        dy_t = T.reshape(T.transpose(dy, (0, 2, 3, 1)),
+                         (b * oh * ow, self.out_channels))
 
         dw2d = T.matmul(T.transpose(cols_t), dy_t, policy.accum,
                         policy.compute_dtype)
@@ -285,7 +273,7 @@ class ReLU(Layer):
         rec.tensors["x"] = x
         return _store(np.maximum(x.widen(), np.float32(0)), policy)
 
-    def backward(self, dy, params, policy, rec):
+    def backward(self, dy, params, policy, rec, want_dx=True):
         mask = rec.tensors["x"].widen() > 0
         dx = _store(np.where(mask, dy.widen(), np.float32(0)), policy)
         return dx, {}
@@ -306,7 +294,7 @@ class LeakyReLU(Layer):
         xw = x.widen()
         return _store(np.where(xw > 0, xw, np.float32(self.slope) * xw), policy)
 
-    def backward(self, dy, params, policy, rec):
+    def backward(self, dy, params, policy, rec, want_dx=True):
         xw = rec.tensors["x"].widen()
         g = np.where(xw > 0, np.float32(1.0), np.float32(self.slope))
         return _store(dy.widen() * g, policy), {}
@@ -324,7 +312,7 @@ class Tanh(Layer):
         rec.tensors["y"] = y
         return y
 
-    def backward(self, dy, params, policy, rec):
+    def backward(self, dy, params, policy, rec, want_dx=True):
         yw = rec.tensors["y"].widen()  # derivative from the stored value
         return _store(dy.widen() * (np.float32(1.0) - yw * yw), policy), {}
 
@@ -341,7 +329,7 @@ class Sigmoid(Layer):
         rec.tensors["y"] = y
         return y
 
-    def backward(self, dy, params, policy, rec):
+    def backward(self, dy, params, policy, rec, want_dx=True):
         yw = rec.tensors["y"].widen()
         return _store(dy.widen() * yw * (np.float32(1.0) - yw), policy), {}
 
@@ -405,7 +393,7 @@ class BatchNorm(Layer):
         rec.f32["invstd"] = invstd
         return _store(y, policy)
 
-    def backward(self, dy, params, policy, rec):
+    def backward(self, dy, params, policy, rec, want_dx=True):
         x = rec.tensors["x"]
         xw = x.widen()
         b = np.float32(x.shape[0])
@@ -495,7 +483,7 @@ class LSTMCell(Layer):
             h_t, c_t = h_new, c_new
         return h_t
 
-    def backward(self, dy, params, policy, rec):
+    def backward(self, dy, params, policy, rec, want_dx=True):
         x = rec.tensors["x"]
         b, steps, _ = x.shape
         one = np.float32(1.0)
@@ -537,8 +525,7 @@ class LSTMCell(Layer):
             dc = _store(dcw * gf, policy)
 
         dx_data = np.stack([d.data for d in reversed(dx_steps)], axis=1)
-        dx = T.Tensor(dx_data.shape, policy.compute_dtype,
-                      np.ascontiguousarray(dx_data))
+        dx = T.Tensor(dx_data.shape, policy.compute_dtype, dx_data)
         grads = {"w_ih": T.store(dw_ih, policy.compute_dtype),
                  "w_hh": T.store(dw_hh, policy.compute_dtype),
                  "bias": T.store(db, policy.compute_dtype)}
@@ -581,14 +568,19 @@ class SoftmaxCrossEntropy(LossLayer):
         return "SoftmaxCrossEntropy"
 
     @staticmethod
-    def _labels(targets) -> np.ndarray:
+    def _labels(targets, classes: int) -> np.ndarray:
         if isinstance(targets, Tensor):
-            return targets.widen().astype(np.int64).reshape(-1)
-        return np.asarray(targets, dtype=np.int64).reshape(-1)
+            labels = targets.widen().astype(np.int64).reshape(-1)
+        else:
+            labels = np.asarray(targets, dtype=np.int64).reshape(-1)
+        if labels.min() < 0 or labels.max() >= classes:
+            raise ValueError(f"labels must lie in [0, {classes}), got "
+                             f"[{labels.min()}, {labels.max()}]")
+        return labels
 
     def loss(self, pred, targets, policy, rec):
-        labels = self._labels(targets)
         zw = pred.widen()
+        labels = self._labels(targets, zw.shape[1])
         if zw.shape[0] != labels.shape[0]:
             raise ValueError("batch/label count mismatch")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -612,7 +604,7 @@ class SoftmaxCrossEntropy(LossLayer):
         return _store(g, policy)
 
     def loss_ref(self, pred, targets):
-        labels = self._labels(targets)
+        labels = self._labels(targets, pred.shape[1])
         m = pred.max(axis=1, keepdims=True)
         e = np.exp(pred - m)
         logsum = np.log(e.sum(axis=1)) + m[:, 0]
@@ -707,17 +699,17 @@ def forward(model: Model, inputs: Tensor, targets, policy: PrecisionPolicy,
     loss = loss_layer.loss(x, targets, policy, rec)
     rec.tensors["pred"] = x
     entries.append(rec)
-    return loss, ActivationTape(entries, inputs, targets, policy,
-                                inputs.shape[0], loss)
+    return loss, ActivationTape(entries, policy)
 
 
 def backward(model: Model, tape: ActivationTape, loss_scale: float = 1.0,
              first_input_grad: bool = True) -> Gradients:
     """Back-propagate seeded with loss_scale, producing stored gradients.
 
-    first_input_grad=False skips the gradient w.r.t. the very first
-    layer's input (pure diagnostics output, nothing downstream of it);
-    weight gradients and reports are unaffected.
+    first_input_grad=False passes want_dx=False to the first layer: the
+    gradient w.r.t. the model input is diagnostics output only.  Linear
+    and Conv2d then skip it (activations[0] is None); weight gradients
+    are the same bits either way.
     """
     if len(tape.entries) != len(model.layers):
         raise ValueError("tape does not match model")
@@ -733,13 +725,9 @@ def backward(model: Model, tape: ActivationTape, loss_scale: float = 1.0,
     activations[n - 1] = dy
 
     for i in range(n - 2, -1, -1):
-        lay = model.layers[i]
-        if i == 0 and not first_input_grad and isinstance(lay, (Linear, Conv2d)):
-            dx, grads = lay.backward(dy, _layer_params(model, i), policy,
-                                     tape.entries[i], want_dx=False)
-        else:
-            dx, grads = lay.backward(dy, _layer_params(model, i), policy,
-                                     tape.entries[i])
+        dx, grads = model.layers[i].backward(
+            dy, _layer_params(model, i), policy, tape.entries[i],
+            want_dx=i > 0 or first_input_grad)
         for name, g in grads.items():
             weights[f"{i}.{name}"] = g
         activations[i] = dx

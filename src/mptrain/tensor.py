@@ -67,10 +67,11 @@ class Tensor:
         return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
 
     def widen(self) -> np.ndarray:
-        """Exact f32 view of the values (a fresh array for F16)."""
+        """Exact f32 values: a fresh array for F16, the frozen buffer
+        itself for F32."""
         if self.dtype is DType.F16:
             return b16.to_f32_array(self.data)
-        return self.data.astype(np.float32)
+        return self.data
 
     def item(self) -> float:
         if self.size != 1:
@@ -211,57 +212,22 @@ def reduce_sum(t: Tensor, axis: int | None = None,
     return store(acc, out_dtype)
 
 
-def _binary_op(a: Tensor, b: Tensor, op) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.dtype is not b.dtype:
-        raise ValueError("operands must share a dtype")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = op(a.widen(), b.widen())
-    return store(out, a.dtype)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary_op(a, b, np.add)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary_op(a, b, np.subtract)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary_op(a, b, np.multiply)
-
-
-def scale(t: Tensor, c: float) -> Tensor:
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = t.widen() * np.float32(c)
-    return store(out, t.dtype)
-
-
-def map_unary(t: Tensor, fn) -> Tensor:
-    """Apply fn to the exact f32 values, round once on store."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(fn(t.widen()), dtype=np.float32)
-    return store(out, t.dtype)
-
-
 def transpose(t: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    moved = np.transpose(t.data, axes)
-    return _freeze(np.ascontiguousarray(moved), t.dtype)
+    return _freeze(np.transpose(t.data, axes), t.dtype)  # Tensor makes it contiguous
 
 
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(d) for d in shape)
-    return _freeze(t.data.reshape(shape).copy(), t.dtype)
+    """A view of the (frozen) buffer in the new shape."""
+    return _freeze(t.data.reshape(tuple(int(d) for d in shape)), t.dtype)
 
 
 def slice_(t: Tensor, key) -> Tensor:
-    """Basic slicing (tuples of slices/ints); always copies."""
-    out = np.ascontiguousarray(t.data[key])
+    """Basic slicing (tuples of slices/ints): a view of the frozen buffer
+    when the selection is contiguous, otherwise one copy."""
+    out = t.data[key]
     if out.ndim == 0:
         out = out.reshape((1,))
-    return _freeze(out.copy(), t.dtype)
+    return _freeze(out, t.dtype)
 
 
 def take(t: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
@@ -344,44 +310,34 @@ def permutation(n: int, seed: int, stream: int = 0) -> np.ndarray:
 _MAGIC = b"MPTENS01"
 _DTYPE_CODE = {DType.F16: 0, DType.F32: 1}
 _CODE_DTYPE = {v: k for k, v in _DTYPE_CODE.items()}
+_WIRE = {DType.F16: np.dtype("<u2"), DType.F32: np.dtype("<f4")}
 
 
 def write_tensor(fh, t: Tensor) -> None:
     fh.write(_MAGIC)
     fh.write(struct.pack("<BB", _DTYPE_CODE[t.dtype], len(t.shape)))
     fh.write(struct.pack(f"<{len(t.shape)}Q", *t.shape))
-    if t.dtype is DType.F16:
-        fh.write(t.data.astype("<u2").tobytes())
-    else:
-        fh.write(t.data.astype("<f4").tobytes())
+    fh.write(t.data.astype(_WIRE[t.dtype]).tobytes())
+
+
+def _read_exact(fh, n: int, what: str) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise ValueError(f"truncated tensor {what} ({len(raw)} of {n} bytes)")
+    return raw
 
 
 def read_tensor(fh) -> Tensor:
     magic = fh.read(8)
     if magic != _MAGIC:
         raise ValueError(f"bad tensor magic {magic!r}")
-    code, rank = struct.unpack("<BB", fh.read(2))
+    code, rank = struct.unpack("<BB", _read_exact(fh, 2, "header"))
     if code not in _CODE_DTYPE:
         raise ValueError(f"unknown dtype code {code}")
-    dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+    dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dimensions"))
     dtype = _CODE_DTYPE[code]
     count = int(np.prod(dims, dtype=np.int64))
-    itemsize = 2 if dtype is DType.F16 else 4
-    raw = fh.read(count * itemsize)
-    if len(raw) != count * itemsize:
-        raise ValueError("truncated tensor buffer")
-    if dtype is DType.F16:
-        data = np.frombuffer(raw, dtype="<u2").astype(np.uint16).reshape(dims)
-    else:
-        data = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(dims)
-    return _freeze(data, dtype)
+    raw = _read_exact(fh, count * _WIRE[dtype].itemsize, "buffer")
+    data = np.frombuffer(raw, dtype=_WIRE[dtype]).astype(_STORAGE[dtype])
+    return _freeze(data.reshape(dims), dtype)
 
-
-def save_tensor(path, t: Tensor) -> None:
-    with open(path, "wb") as fh:
-        write_tensor(fh, t)
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
-        return read_tensor(fh)

@@ -77,7 +77,7 @@ def test_merge_identity_and_commutativity():
     rng = np.random.default_rng(2)
     a = diag.histogram(T.store(rng.normal(0, 1, 500).astype(np.float32), DType.F16))
     b = diag.histogram(T.store(rng.normal(0, 1e-7, 500).astype(np.float32), DType.F16))
-    e = diag.empty(DType.F16)
+    e = diag.ExponentHistogram(DType.F16)
 
     assert diag.merge(a, e) == a
     ab, ba = diag.merge(a, b), diag.merge(b, a)
@@ -89,8 +89,8 @@ def test_merge_identity_and_commutativity():
 
 
 def test_merge_rejects_dtype_mismatch():
-    a = diag.empty(DType.F16)
-    b = diag.empty(DType.F32)
+    a = diag.ExponentHistogram(DType.F16)
+    b = diag.ExponentHistogram(DType.F32)
     with pytest.raises(ValueError):
         diag.merge(a, b)
 
@@ -134,11 +134,11 @@ def test_csv_roundtrip(tmp_path):
 
 
 def test_sample_hook_factory():
-    hook = diag.sample_hook(5, run_id="x")
+    hook = diag.SampleHook(5, run_id="x")
     assert isinstance(hook, diag.SampleHook)
     assert hook.every_n == 5
     with pytest.raises(ValueError):
-        diag.sample_hook(0)
+        diag.SampleHook(0)
 
 
 def test_hook_cadence_and_capture(tmp_path):

@@ -379,6 +379,58 @@ def test_cli_plot_and_histogram(tmp_path, capsys):
                         str(tmp_path / "hist_checkpoint_weights.csv")]) == 0
 
 
+def _garbage_csv(tmp):
+    (tmp / "h.csv").write_text("exponent,count\nx,y\n")
+    return ["histogram", str(tmp / "h.csv")]
+
+
+def _garbage_checkpoint(tmp):
+    (tmp / "g.ckpt").write_bytes(b"\x89garbage\xff\x00\n" * 8)
+    return ["histogram", str(tmp / "g.ckpt")]
+
+
+def _missing_file(tmp):
+    return ["histogram", str(tmp / "missing.ckpt")]
+
+
+def _short_tensor_header(tmp):
+    manifest = ("MPCKPT 1\nlayer.0 = Linear(1,1,bias=false)\n"
+                "layer.1 = MeanSquaredError\nentry.0 = param.0.weight\nEND\n")
+    (tmp / "s.ckpt").write_bytes(manifest.encode() + b"MPTENS01\x01")
+    return ["histogram", str(tmp / "s.ckpt")]
+
+
+def _checkpoint_without_parameters(tmp):
+    (tmp / "n.ckpt").write_text("MPCKPT 1\nlayer.0 = ReLU\n"
+                                "layer.1 = MeanSquaredError\nEND\n")
+    return ["histogram", str(tmp / "n.ckpt")]
+
+
+def _non_numeric_cell(tmp):
+    (tmp / "e.csv").write_text("epoch,train_loss,val_loss,val_acc\n"
+                               "0,1.0,abc,0.5\n")
+    return ["plot", str(tmp / "e.csv"), "-o", str(tmp / "e.svg")]
+
+
+def _idx_dims_cut_short(tmp):
+    data = tmp / "data"
+    data.mkdir()
+    (data / "train-images-idx3-ubyte").write_bytes(
+        struct.pack(">II", io_cli.IDX_IMAGES_MAGIC, 5))
+    (tmp / "m.cfg").write_text(f"[run]\ntask = mnist\noutput_dir = {tmp / 'out'}\n"
+                               f"data_dir = {data}\n")
+    return ["train", str(tmp / "m.cfg")]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _garbage_csv, _garbage_checkpoint, _missing_file, _short_tensor_header,
+    _checkpoint_without_parameters, _non_numeric_cell, _idx_dims_cut_short])
+def test_cli_malformed_file_exits_2_with_one_line(make_argv, tmp_path, capsys):
+    assert io_cli.main(make_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
 def test_cli_compare(tmp_path, capsys):
     cfg_path = tmp_path / "cmp.cfg"
     cfg_path.write_text(BASE_CONFIG.format(out=tmp_path / "cmp")

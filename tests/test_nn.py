@@ -293,3 +293,45 @@ def test_predictions_shape_and_eval_mode():
                 DType.F32)
     out = nn.predictions(model, x, nn.F32_POLICY)
     assert out.shape == (9, 2)
+
+
+@pytest.mark.parametrize("first", ["Linear(4,3,bias=true)",
+                                   "Conv2d(2,3,2,2,stride=1,pad=1)"])
+def test_first_input_grad_false_skips_dx_only(first):
+    rng = np.random.default_rng(13)
+    if first.startswith("Linear"):
+        model = nn.model_from_specs([first, "Tanh", "Linear(3,2,bias=true)",
+                                     "SoftmaxCrossEntropy"])
+        x = rng.normal(0, 1, (6, 4))
+        targets = rng.integers(0, 2, 6)
+    else:
+        model = nn.model_from_specs([first, "Sigmoid", "MeanSquaredError"])
+        x = rng.normal(0, 1, (2, 2, 4, 4))
+        targets = T.store(rng.normal(0, 1, (2, 3, 5, 5)).astype(np.float32),
+                          DType.F16)
+    model.bind_f32(model.init_values(13))
+    model.params = {k: T.cast(v, DType.F16) for k, v in model.params.items()}
+    x = T.store(x.astype(np.float32), DType.F16)
+    _, tape = nn.forward(model, x, targets, nn.MP_POLICY)
+
+    full = nn.backward(model, tape, 8.0, first_input_grad=True)
+    skip = nn.backward(model, tape, 8.0, first_input_grad=False)
+    assert full.activations[0] is not None and full.activations[0].shape == x.shape
+    assert skip.activations[0] is None
+    assert full.weights.keys() == skip.weights.keys()
+    for key in full.weights:
+        assert T.bits_equal(full.weights[key], skip.weights[key]), key
+    for a, b in zip(full.activations[1:], skip.activations[1:]):
+        assert T.bits_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_softmax_rejects_labels_outside_class_range(bad):
+    layer = nn.SoftmaxCrossEntropy()
+    pred = T.from_values([2, 2], DType.F32, [0.5, -0.5, 1.0, 2.0])
+    assert np.isfinite(layer.loss(pred, np.array([0, 1]), nn.F32_POLICY,
+                                  nn.TapeEntry()))
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        layer.loss(pred, np.array([0, bad]), nn.F32_POLICY, nn.TapeEntry())
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        layer.loss_ref(pred.widen().astype(np.float64), np.array([bad, 1]))

@@ -204,20 +204,6 @@ def test_seq_sum_order_is_leading_axis_first():
     assert np.float32(total) == acc
 
 
-def test_elementwise_ops():
-    rng = np.random.default_rng(6)
-    vals = rng.normal(0, 2, (5, 4)).astype(np.float32)
-    x = T.store(vals, T.DType.F16)
-    neg = T.scale(x, -1.0)
-    s = T.add(x, neg)
-    assert (s.widen() == 0).all()  # exact cancellation
-
-    assert T.bits_equal(T.scale(x, 1.0), x)
-
-    y = T.mul(x, T.full(x.shape, T.DType.F16, 1.0))
-    assert T.bits_equal(y, x)
-
-
 def test_transpose_reshape_slice_preserve_bits():
     rng = np.random.default_rng(7)
     x = T.store(rng.normal(0, 1, (4, 6)).astype(np.float32), T.DType.F16)
@@ -304,3 +290,31 @@ def test_tensor_immutable():
         x.dtype = T.DType.F16
     with pytest.raises(ValueError):
         x.data[0] = 1.0
+
+
+def test_views_share_memory_and_cannot_be_written():
+    rng = np.random.default_rng(9)
+    for dtype in (T.DType.F16, T.DType.F32):
+        x = T.store(rng.normal(0, 1, (4, 3, 2)).astype(np.float32), dtype)
+        views = [T.reshape(x, [12, 2]).data, T.slice_(x, (slice(1, 3),)).data,
+                 T.slice_(x, (2, 1)).data]
+        if dtype is T.DType.F32:
+            views.append(x.widen())
+        copies = [T.slice_(x, (slice(None), 1)).data, T.slice_(x, (0, 0, 1)).data]
+        for arr in views:
+            assert np.shares_memory(arr, x.data)
+        for arr in copies:
+            assert not np.shares_memory(arr, x.data)
+        for arr in views + copies:
+            with pytest.raises(ValueError):
+                arr[...] = 0
+    assert T.slice_(x, (0, 0, 1)).shape == (1,)
+
+
+def test_read_tensor_short_header():
+    buf = io.BytesIO()
+    T.write_tensor(buf, T.from_values([2, 2], T.DType.F16, [1, 2, 3, 4]))
+    raw = buf.getvalue()
+    for cut in (9, 12):  # inside the dtype/rank bytes, inside the dimensions
+        with pytest.raises(ValueError, match="truncated tensor"):
+            T.read_tensor(io.BytesIO(raw[:cut]))
