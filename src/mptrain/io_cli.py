@@ -6,9 +6,10 @@ a run; executing it twice produces byte-identical metrics CSVs and
 checkpoints.
 
 Subcommands: train, compare, histogram, plot, halfdump, gendata.
-Exit codes: 0 ok, 1 config error, 2 data error, 3 numerical failure
-(non-finite loss in the f32 baseline).  The dataset directory comes
-from the config or the MPTRAIN_DATA_DIR environment variable.
+Exit codes: 0 ok, 1 config error (an unknown key included), 2 data error,
+3 numerical failure (non-finite loss under f32 precision, or a dynamic
+loss scale backed off to zero).  The dataset directory comes from the
+config or the MPTRAIN_DATA_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -135,6 +136,13 @@ def _get_bool(cfg, section, key, default):
 
 TASKS = ("synthetic_classify", "synthetic_regress_small_grads", "mnist")
 PRESETS = ("fp32", "mp", "mp_noscale", "mp_nomaster")
+CONFIG_KEYS = {
+    "run": ("task", "seed", "epochs", "batch_size", "lr", "momentum",
+            "nesterov", "output_dir", "data_dir", "sample_every"),
+    "model": ("layers",),
+    "policy": ("preset", "accum", "loss_scale", "init_scale", "growth_factor",
+               "backoff_factor", "growth_interval", "clip_threshold"),
+}
 
 
 @dataclass
@@ -155,6 +163,10 @@ class RunConfig:
 
     @staticmethod
     def from_config(cfg: Config) -> "RunConfig":
+        for section, kv in cfg.sections.items():
+            for key in kv:
+                if key not in CONFIG_KEYS.get(section, ()):
+                    raise ConfigError(f"unknown field {section}.{key}")
         task = cfg.require("run", "task")
         if task not in TASKS:
             raise ConfigError(f"run.task must be one of {TASKS}, got {task!r}")
@@ -210,7 +222,9 @@ def _build_scaler(cfg: Config):
 
 
 def _build_policy(cfg: Config) -> eng.TrainingPolicy:
-    preset = cfg.get("policy", "preset")
+    preset = cfg.get("policy", "preset", "fp32")
+    if preset not in PRESETS:
+        raise ConfigError(f"policy.preset must be one of {PRESETS}, got {preset!r}")
     clip = _get_typed(cfg, "policy", "clip_threshold", float, None, "a number")
     accum_raw = cfg.get("policy", "accum", "acc32").lower()
     if accum_raw not in ("acc16", "acc32"):
@@ -218,35 +232,14 @@ def _build_policy(cfg: Config) -> eng.TrainingPolicy:
     accum = T.AccumMode.ACC16 if accum_raw == "acc16" else T.AccumMode.ACC32
 
     try:
-        if preset is not None:
-            if preset not in PRESETS:
-                raise ConfigError(f"policy.preset must be one of {PRESETS}, got {preset!r}")
-            if preset == "fp32":
-                return eng.TrainingPolicy.baseline()
-            if preset == "mp":
-                return eng.TrainingPolicy.mixed(
-                    scaler=_build_scaler(cfg), accum=accum, clip_threshold=clip)
-            if preset == "mp_noscale":
-                return eng.TrainingPolicy.mixed(
-                    scaler=eng.ConstantScale(1.0), accum=accum, clip_threshold=clip)
-            return eng.TrainingPolicy.mixed(
-                scaler=_build_scaler(cfg), use_master=False, accum=accum,
-                clip_threshold=clip)
-
-        mode_raw = cfg.get("policy", "mode", "fp32_baseline")
-        if mode_raw == "fp32_baseline":
+        if preset == "fp32":
             return eng.TrainingPolicy.baseline()
-        if mode_raw != "mixed_precision":
-            raise ConfigError(f"policy.mode must be fp32_baseline or "
-                              f"mixed_precision, got {mode_raw!r}")
-        return eng.TrainingPolicy(
-            eng.Mode.MIXED_PRECISION,
-            use_master=_get_bool(cfg, "policy", "use_master", True),
-            accum=accum,
-            scaler=_build_scaler(cfg),
-            clip_threshold=clip,
-            reference_f32=_get_bool(cfg, "policy", "reference_f32", False),
-        )
+        if preset == "mp_noscale":
+            return eng.TrainingPolicy.mixed(
+                scaler=eng.ConstantScale(1.0), accum=accum, clip_threshold=clip)
+        return eng.TrainingPolicy.mixed(
+            scaler=_build_scaler(cfg), use_master=preset != "mp_nomaster",
+            accum=accum, clip_threshold=clip)
     except ValueError as e:
         raise ConfigError(f"policy: {e}") from e
 
@@ -258,7 +251,7 @@ def _build_policy(cfg: Config) -> eng.TrainingPolicy:
 @dataclass
 class Dataset:
     inputs: Tensor   # F32, [N, ...]
-    labels: Tensor   # F32: class ids [N] or regression targets [N, K]
+    labels: Tensor   # F32: class ids [N] or scaled one-hot targets [N, K]
     split: str
 
     def __post_init__(self):
@@ -275,7 +268,6 @@ class Dataset:
 class TaskBundle:
     train: Dataset
     val: Dataset
-    kind: str                      # "classify" (int labels) or "regress_onehot"
     default_specs: list[str]
     init_overrides: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -436,7 +428,7 @@ def task_synthetic_classify(seed: int) -> TaskBundle:
     return TaskBundle(
         Dataset(T.store(xtr, DType.F32), T.store(ytr.astype(np.float32), DType.F32), "train"),
         Dataset(T.store(xva, DType.F32), T.store(yva.astype(np.float32), DType.F32), "validation"),
-        "classify", specs)
+        specs)
 
 
 UNDERFLOW_TARGET_SCALE = 2.0**-17
@@ -475,7 +467,7 @@ def gen_underflow_task(seed: int) -> TaskBundle:
     return TaskBundle(
         Dataset(T.store(xtr, DType.F32), T.store(onehot(ytr), DType.F32), "train"),
         Dataset(T.store(xva, DType.F32), T.store(onehot(yva), DType.F32), "validation"),
-        "regress_onehot", specs, init_overrides={"2.weight": w2})
+        specs, init_overrides={"2.weight": w2})
 
 
 def build_task(config: RunConfig) -> TaskBundle:
@@ -486,7 +478,7 @@ def build_task(config: RunConfig) -> TaskBundle:
     train, val = load_mnist(config.data_dir)
     specs = ["Linear(784,256,bias=true)", "ReLU", "Linear(256,10,bias=true)",
              "SoftmaxCrossEntropy"]
-    return TaskBundle(train, val, "classify", specs)
+    return TaskBundle(train, val, specs)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +505,13 @@ def _flatten_for_model(t: Tensor, specs: list[str]) -> Tensor:
 
 
 def evaluate(model: nn.Model, ds: Dataset, policy: eng.TrainingPolicy,
-             kind: str, batch_size: int, specs: list[str]) -> tuple[float, float]:
-    """Validation loss and accuracy under the policy's precision."""
-    pdtype = policy.compute_dtype()
+             batch_size: int, specs: list[str]) -> tuple[float, float]:
+    """Validation loss and accuracy under the policy's precision.
+
+    Targets are cast like train_step casts them; class ids stay exact in
+    f16 below 2048.  Labels of shape [B] are class ids, [B, C] one-hot.
+    """
+    pdtype = policy.precision.compute_dtype
     total_loss = 0.0
     correct = 0
     n = ds.size
@@ -523,15 +519,12 @@ def evaluate(model: nn.Model, ds: Dataset, policy: eng.TrainingPolicy,
         idx = np.arange(start, min(start + batch_size, n))
         x = _flatten_for_model(T.take(ds.inputs, idx), specs)
         x = T.cast(x, pdtype)
-        y = T.take(ds.labels, idx)
-        targets = T.cast(y, pdtype) if kind == "regress_onehot" else y
-        loss, _ = nn.forward(model, x, targets, policy.precision(), train=False)
+        y = T.cast(T.take(ds.labels, idx), pdtype)
+        loss, _ = nn.forward(model, x, y, policy.precision, train=False)
         total_loss += loss * len(idx)
-        pred = nn.predictions(model, x, policy.precision())
-        if kind == "classify":
-            truth = y.widen().astype(np.int64).reshape(-1)
-        else:
-            truth = np.argmax(y.widen(), axis=1)
+        pred = nn.predictions(model, x, policy.precision)
+        truth = y.widen()
+        truth = truth.astype(np.int64) if truth.ndim == 1 else np.argmax(truth, axis=1)
         correct += int((np.argmax(pred, axis=1) == truth).sum())
     return total_loss / n, correct / n
 
@@ -586,8 +579,7 @@ def run(config: RunConfig) -> RunResult:
                 epoch_loss += report.loss
                 iteration += 1
             train_loss = epoch_loss / n_batches
-            val_loss, val_acc = evaluate(model, val, config.policy,
-                                         bundle.kind, bs, specs)
+            val_loss, val_acc = evaluate(model, val, config.policy, bs, specs)
             best_acc = max(best_acc, val_acc)
             epochs_csv.write(f"{epoch},{train_loss!r},{val_loss!r},{val_acc!r}\n")
             final_train, final_loss, final_acc = train_loss, val_loss, val_acc
@@ -918,7 +910,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
+    except (DataError, nn.LabelError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except eng.NumericalError as e:

@@ -12,7 +12,6 @@ are exponent shifts that introduce no rounding error.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +25,8 @@ from .tensor import AccumMode, DType, Tensor
 
 
 class NumericalError(RuntimeError):
-    """Non-finite loss where the numerics rule it out (f32 baseline)."""
+    """Non-finite loss where the numerics rule it out (f32 precision), or a
+    dynamic loss scale backed off to zero."""
 
 
 def _is_power_of_two(x: float) -> bool:
@@ -82,7 +82,8 @@ class DynamicScale:
         if overflow:
             self.scale *= self.backoff_factor
             self.steps_since_overflow = 0
-            assert self.scale > 0
+            if self.scale == 0.0:
+                raise NumericalError("dynamic loss scale backed off to 0")
         else:
             self.steps_since_overflow += 1
             if self.steps_since_overflow >= self.growth_interval:
@@ -94,62 +95,43 @@ class DynamicScale:
                 f"backoff={self.backoff_factor}, interval={self.growth_interval})")
 
 
-class Mode(enum.Enum):
-    FP32_BASELINE = "fp32_baseline"
-    MIXED_PRECISION = "mixed_precision"
-
-
 @dataclass
 class TrainingPolicy:
     """What the training loop is allowed to do with precision.
 
-    reference_f32 keeps the mixed-precision orchestration (scaling,
-    unscaling, overflow checks) but forces every tensor and matmul to
-    f32; it exists for scale-neutrality checks where rounding to f16
-    would mask the comparison.
+    `precision` places every tensor and matmul: F32 storage is the
+    baseline, F16 storage is mixed precision, with ACC32 or ACC16 dot
+    products.  `use_master` keeps f32 master weights (False updates the
+    f16 shadows directly), `scaler` sets the loss scale, and
+    `clip_threshold` clips the global norm of the unscaled gradients.
+
+    F32 precision trains the masters with ACC32 under any scaler; a
+    scale other than 1 keeps the scaling orchestration (scale, unscale,
+    overflow checks) without f16 rounding, which is what
+    scale-neutrality checks compare against.
     """
 
-    mode: Mode = Mode.FP32_BASELINE
+    precision: nn.PrecisionPolicy = nn.F32_POLICY
     use_master: bool = True
-    accum: AccumMode = AccumMode.ACC32
     scaler: ConstantScale | DynamicScale = field(default_factory=ConstantScale)
     clip_threshold: Optional[float] = None
-    reference_f32: bool = False
 
     def __post_init__(self):
-        if self.mode is Mode.FP32_BASELINE:
-            if self.scaler.dynamic or self.scaler.scale != 1.0:
-                raise ValueError("fp32 baseline requires a constant scale of 1")
-            if self.accum is not AccumMode.ACC32:
-                raise ValueError("fp32 baseline requires ACC32 accumulation")
-            if not self.use_master or self.reference_f32:
-                raise ValueError("fp32 baseline trains the masters directly")
-        if self.reference_f32:
-            if self.accum is AccumMode.ACC16:
-                raise ValueError("reference_f32 cannot use an f16 accumulator")
-            if not self.use_master:
-                raise ValueError("reference_f32 requires master weights")
+        if self.precision.compute_dtype is DType.F32 and (
+                self.precision.accum is not AccumMode.ACC32 or not self.use_master):
+            raise ValueError("f32 precision trains the masters with ACC32")
         if self.clip_threshold is not None and not self.clip_threshold > 0:
             raise ValueError("clip_threshold must be positive")
 
     @staticmethod
     def baseline() -> "TrainingPolicy":
-        return TrainingPolicy(Mode.FP32_BASELINE)
+        return TrainingPolicy()
 
     @staticmethod
     def mixed(scaler=None, use_master=True, accum=AccumMode.ACC32,
-              clip_threshold=None, reference_f32=False) -> "TrainingPolicy":
-        return TrainingPolicy(Mode.MIXED_PRECISION, use_master, accum,
-                              scaler or ConstantScale(1.0), clip_threshold,
-                              reference_f32)
-
-    def compute_dtype(self) -> DType:
-        if self.mode is Mode.MIXED_PRECISION and not self.reference_f32:
-            return DType.F16
-        return DType.F32
-
-    def precision(self) -> nn.PrecisionPolicy:
-        return nn.PrecisionPolicy(self.compute_dtype(), self.accum)
+              clip_threshold=None) -> "TrainingPolicy":
+        return TrainingPolicy(nn.PrecisionPolicy(DType.F16, accum), use_master,
+                              scaler or ConstantScale(1.0), clip_threshold)
 
 
 class Parameter:
@@ -176,7 +158,7 @@ def make_parameters(model: nn.Model, seed: int) -> dict[str, Parameter]:
 def bind_parameters(model: nn.Model, params: dict[str, Parameter],
                     policy: TrainingPolicy) -> None:
     """Point the model at shadows (f16 paths) or masters (f32 paths)."""
-    use_f16 = policy.compute_dtype() is DType.F16
+    use_f16 = policy.precision.compute_dtype is DType.F16
     for name, p in params.items():
         model.params[name] = p.shadow if use_f16 else p.master
 
@@ -222,14 +204,14 @@ def grad_global_norm(unscaled: dict[str, np.ndarray]) -> float:
         return float(np.sqrt(total))
 
 
-def clip_gradients(unscaled: dict[str, np.ndarray], threshold: float) -> float:
-    """Global-norm clipping, in place, on unscaled f32 gradients."""
-    norm = grad_global_norm(unscaled)
+def clip_gradients(unscaled: dict[str, np.ndarray], threshold: float,
+                   norm: float) -> None:
+    """Global-norm clipping, in place, on unscaled f32 gradients whose
+    grad_global_norm is `norm`."""
     if norm > threshold:
         factor = np.float32(threshold) / np.float32(norm)
         for arr in unscaled.values():
             arr *= factor
-    return norm
 
 
 def suggest_constant_scale(max_abs_grad: float) -> float:
@@ -292,13 +274,14 @@ def train_step(model: nn.Model, params: dict[str, Parameter], inputs: Tensor,
         p.sync_shadow()
     bind_parameters(model, params, policy)
 
-    pdtype = policy.compute_dtype()
+    pdtype = policy.precision.compute_dtype
     x = T.cast(inputs, pdtype)
     tgt = T.cast(targets, pdtype) if isinstance(targets, Tensor) else targets
 
-    loss, tape = nn.forward(model, x, tgt, policy.precision(), train=True)
-    if not math.isfinite(loss) and policy.mode is Mode.FP32_BASELINE:
-        raise NumericalError(f"non-finite loss {loss} in fp32 baseline at "
+    loss, tape = nn.forward(model, x, tgt, policy.precision, train=True)
+    # the loss is computed before scaling, so no scale can make it non-finite
+    if not math.isfinite(loss) and pdtype is DType.F32:
+        raise NumericalError(f"non-finite loss {loss} in f32 precision at "
                              f"iteration {iteration}")
 
     scale = policy.scaler.scale
@@ -318,7 +301,7 @@ def train_step(model: nn.Model, params: dict[str, Parameter], inputs: Tensor,
                           f"constant scale {scale}; update skipped")
     else:
         if policy.clip_threshold is not None:
-            clip_gradients(unscaled, policy.clip_threshold)
+            clip_gradients(unscaled, policy.clip_threshold, grad_norm)
         sgd_step(params, unscaled, lr, momentum, nesterov,
                  use_master=policy.use_master)
     policy.scaler.update(overflow)

@@ -89,8 +89,8 @@ class Layer:
                  ) -> tuple[Optional[Tensor], dict[str, Tensor]]:
         raise NotImplementedError
 
-    def forward_ref(self, x: np.ndarray, params: dict[str, np.ndarray],
-                    state: dict[str, np.ndarray], prefix: str) -> np.ndarray:
+    def forward_ref(self, x: np.ndarray, params: dict[str, np.ndarray]
+                    ) -> np.ndarray:
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -147,7 +147,7 @@ class Linear(Layer):
                           policy.compute_dtype)
         return dx, grads
 
-    def forward_ref(self, x, params, state, prefix):
+    def forward_ref(self, x, params):
         y = x @ params["weight"]
         if self.bias:
             y = y + params["bias"][None, :]
@@ -221,7 +221,6 @@ class Conv2d(Layer):
         y = _store(acc, policy)
         rec.tensors["x"] = x
         rec.tensors["cols"] = cols_t
-        rec.f32["geometry"] = np.array([b, oh, ow])
         return T.transpose(T.reshape(y, (b, oh, ow, self.out_channels)),
                            (0, 3, 1, 2))
 
@@ -256,7 +255,7 @@ class Conv2d(Layer):
         dx = _store(dxp[:, :, p:p + h, p:p + w], policy)
         return dx, {"weight": dw, "bias": db}
 
-    def forward_ref(self, x, params, state, prefix):
+    def forward_ref(self, x, params):
         b, c, h, w, oh, ow = self._geometry(x.shape)
         cols = self._im2col_bits(x, oh, ow).astype(np.float64)
         wmat = params["weight"].reshape(self.out_channels, -1)
@@ -278,7 +277,7 @@ class ReLU(Layer):
         dx = _store(np.where(mask, dy.widen(), np.float32(0)), policy)
         return dx, {}
 
-    def forward_ref(self, x, params, state, prefix):
+    def forward_ref(self, x, params):
         return np.maximum(x, 0.0)
 
 
@@ -299,7 +298,7 @@ class LeakyReLU(Layer):
         g = np.where(xw > 0, np.float32(1.0), np.float32(self.slope))
         return _store(dy.widen() * g, policy), {}
 
-    def forward_ref(self, x, params, state, prefix):
+    def forward_ref(self, x, params):
         return np.where(x > 0, x, self.slope * x)
 
 
@@ -316,7 +315,7 @@ class Tanh(Layer):
         yw = rec.tensors["y"].widen()  # derivative from the stored value
         return _store(dy.widen() * (np.float32(1.0) - yw * yw), policy), {}
 
-    def forward_ref(self, x, params, state, prefix):
+    def forward_ref(self, x, params):
         return np.tanh(x)
 
 
@@ -333,7 +332,7 @@ class Sigmoid(Layer):
         yw = rec.tensors["y"].widen()
         return _store(dy.widen() * yw * (np.float32(1.0) - yw), policy), {}
 
-    def forward_ref(self, x, params, state, prefix):
+    def forward_ref(self, x, params):
         return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -364,9 +363,6 @@ class BatchNorm(Layer):
     def init_values(self, seed, index):
         return {"gamma": np.ones(self.features, dtype=np.float32),
                 "beta": np.zeros(self.features, dtype=np.float32)}
-
-    def state_shapes(self):
-        return {"running_mean": (self.features,), "running_var": (self.features,)}
 
     def forward(self, x, params, policy, rec, train, state, prefix):
         if len(x.shape) != 2 or x.shape[1] != self.features:
@@ -412,7 +408,7 @@ class BatchNorm(Layer):
                  "beta": T.store(dbeta, policy.compute_dtype)}
         return _store(dx, policy), grads
 
-    def forward_ref(self, x, params, state, prefix):
+    def forward_ref(self, x, params):
         mean = x.mean(axis=0)
         var = ((x - mean) ** 2).mean(axis=0)
         xhat = (x - mean) / np.sqrt(var + self.epsilon)
@@ -460,7 +456,6 @@ class LSTMCell(Layer):
         h_t = T.zeros((b, self.hidden), policy.compute_dtype)
         c_t = T.zeros((b, self.hidden), policy.compute_dtype)
         rec.tensors["x"] = x
-        rec.f32["steps"] = np.array([steps])
         bias = params["bias"].widen()[None, :]
         for t in range(steps):
             x_t = T.slice_(x, (slice(None), t))
@@ -531,7 +526,7 @@ class LSTMCell(Layer):
                  "bias": T.store(db, policy.compute_dtype)}
         return dx, grads
 
-    def forward_ref(self, x, params, state, prefix):
+    def forward_ref(self, x, params):
         b, steps, _ = x.shape
         h = np.zeros((b, self.hidden), dtype=np.float64)
         c = np.zeros((b, self.hidden), dtype=np.float64)
@@ -545,6 +540,10 @@ class LSTMCell(Layer):
             c = gf * c + gi * gg
             h = go * np.tanh(c)
         return h
+
+
+class LabelError(ValueError):
+    """Class labels outside the range the model's output width allows."""
 
 
 class LossLayer(Layer):
@@ -574,7 +573,7 @@ class SoftmaxCrossEntropy(LossLayer):
         else:
             labels = np.asarray(targets, dtype=np.int64).reshape(-1)
         if labels.min() < 0 or labels.max() >= classes:
-            raise ValueError(f"labels must lie in [0, {classes}), got "
+            raise LabelError(f"labels must lie in [0, {classes}), got "
                              f"[{labels.min()}, {labels.max()}]")
         return labels
 
@@ -759,7 +758,7 @@ def loss_ref_f64(model: Model, values: dict[str, np.ndarray], inputs: np.ndarray
         prefix = f"{i}."
         p64 = {k[len(prefix):]: np.asarray(v, dtype=np.float64)
                for k, v in values.items() if k.startswith(prefix)}
-        x = lay.forward_ref(x, p64, model.state, prefix)
+        x = lay.forward_ref(x, p64)
     return model.layers[-1].loss_ref(x, targets)
 
 

@@ -488,8 +488,7 @@ def test_criterion_11_scale_neutrality():
         rng = np.random.default_rng(21)
         x = T.store(rng.normal(0, 1, (16, 4)).astype(np.float32), DType.F32)
         labels = rng.integers(0, 2, 16)
-        policy = eng.TrainingPolicy.mixed(scaler=eng.ConstantScale(scale),
-                                          reference_f32=True)
+        policy = eng.TrainingPolicy(scaler=eng.ConstantScale(scale))
         report = eng.train_step(model, params, x, labels, policy,
                                 lr=0.1, momentum=0.9)
         assert not report.skipped

@@ -31,7 +31,7 @@ loss_scale = 8
 # --- config parsing ----------------------------------------------------------
 
 def test_config_parse_and_roundtrip():
-    cfg = Config.parse("[run]\ntask = mnist  # comment\nseed=4\n\n[policy]\nmode = fp32_baseline\n")
+    cfg = Config.parse("[run]\ntask = mnist  # comment\nseed=4\n\n[policy]\npreset = fp32\n")
     assert cfg.get("run", "task") == "mnist"
     assert cfg.get("run", "seed") == "4"
     again = Config.parse(cfg.to_text())
@@ -75,20 +75,25 @@ def test_policy_presets():
         return RunConfig.from_config(Config.parse(text)).policy
 
     p = build("fp32")
-    assert p.mode is eng.Mode.FP32_BASELINE
+    assert p.precision.compute_dtype is T.DType.F32
     p = build("mp", "loss_scale = 8\n")
-    assert p.mode is eng.Mode.MIXED_PRECISION and p.scaler.scale == 8.0
+    assert p.precision.compute_dtype is T.DType.F16 and p.scaler.scale == 8.0
+    assert p.precision.accum is T.AccumMode.ACC32
     p = build("mp_noscale", "loss_scale = 8\n")
     assert p.scaler.scale == 1.0
-    p = build("mp_nomaster")
-    assert not p.use_master
+    p = build("mp_nomaster", "accum = acc16\n")
+    assert p.use_master is False and p.precision.compute_dtype is T.DType.F16
+    assert p.precision.accum is T.AccumMode.ACC16
     with pytest.raises(ConfigError):
         build("bogus")
+    unset = "[run]\ntask = synthetic_classify\noutput_dir = /tmp/x\n"
+    p = RunConfig.from_config(Config.parse(unset)).policy
+    assert p.precision.compute_dtype is T.DType.F32
 
 
 def test_policy_dynamic_scaler_fields():
     text = ("[run]\ntask = synthetic_classify\noutput_dir = /tmp/x\n"
-            "[policy]\nmode = mixed_precision\nloss_scale = dynamic\n"
+            "[policy]\npreset = mp\nloss_scale = dynamic\n"
             "init_scale = 1024\ngrowth_interval = 10\n")
     p = RunConfig.from_config(Config.parse(text)).policy
     assert p.scaler.dynamic and p.scaler.scale == 1024.0
@@ -161,7 +166,6 @@ def test_surrogate_generator_deterministic(tmp_path):
 
 def test_synthetic_classify_bundle():
     bundle = io_cli.task_synthetic_classify(3)
-    assert bundle.kind == "classify"
     assert bundle.train.size == 4096 and bundle.val.size == 1024
     labels = bundle.train.labels.widen().astype(int)
     assert set(np.unique(labels)) <= {0, 1, 2, 3}
@@ -174,7 +178,6 @@ def test_synthetic_classify_bundle():
 
 def test_underflow_task_construction():
     bundle = io_cli.gen_underflow_task(11)
-    assert bundle.kind == "regress_onehot"
     targets = bundle.train.labels.widen()
     nz = targets[targets != 0]
     assert np.allclose(nz, io_cli.UNDERFLOW_TARGET_SCALE)
@@ -429,6 +432,32 @@ def test_cli_malformed_file_exits_2_with_one_line(make_argv, tmp_path, capsys):
     assert io_cli.main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+def test_cli_labels_beyond_model_classes_exit_2(tmp_path, capsys):
+    # synthetic_classify has 4 classes; a 2-way model cannot take labels 2, 3
+    cfg = Config.parse(BASE_CONFIG.format(out=tmp_path / "out"))
+    cfg.set("model.layers", "Linear(16,2,bias=true); SoftmaxCrossEntropy")
+    (tmp_path / "l.cfg").write_text(cfg.to_text())
+    assert io_cli.main(["train", str(tmp_path / "l.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: labels must lie in [0, 2)")
+    assert err.count("\n") == 1
+    steps = (tmp_path / "out" / "steps.csv").read_text().splitlines()
+    assert steps == [eng.STEP_CSV_HEADER]
+
+
+@pytest.mark.parametrize("field", ["policy.mode", "policy.use_master",
+                                   "policy.reference_f32", "policy.loss_scal",
+                                   "run.epoch", "extra.key"])
+def test_cli_unknown_config_key_exits_1_with_one_line(field, tmp_path, capsys):
+    cfg = Config.parse(BASE_CONFIG.format(out=tmp_path / "out"))
+    cfg.set(field, "true")
+    (tmp_path / "u.cfg").write_text(cfg.to_text())
+    assert io_cli.main(["train", str(tmp_path / "u.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown field {field}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_compare(tmp_path, capsys):

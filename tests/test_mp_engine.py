@@ -117,19 +117,26 @@ def test_scaler_validation():
         eng.DynamicScale(backoff_factor=2.0)
 
 
+def test_dynamic_scale_backoff_to_zero_raises():
+    sc = eng.DynamicScale(init_scale=2.0**-1074)
+    with pytest.raises(eng.NumericalError):
+        sc.update(True)
+
+
 def test_policy_validation():
+    f32_acc16 = nn.PrecisionPolicy(DType.F32, AccumMode.ACC16)
     with pytest.raises(ValueError):
-        eng.TrainingPolicy(eng.Mode.FP32_BASELINE, scaler=eng.ConstantScale(8.0))
+        eng.TrainingPolicy(f32_acc16)
     with pytest.raises(ValueError):
-        eng.TrainingPolicy(eng.Mode.FP32_BASELINE, accum=AccumMode.ACC16)
+        eng.TrainingPolicy(f32_acc16, scaler=eng.ConstantScale(8.0))
     with pytest.raises(ValueError):
-        eng.TrainingPolicy(eng.Mode.MIXED_PRECISION, reference_f32=True,
-                           accum=AccumMode.ACC16)
+        eng.TrainingPolicy(use_master=False)
     with pytest.raises(ValueError):
-        eng.TrainingPolicy(eng.Mode.MIXED_PRECISION, clip_threshold=0.0)
-    assert eng.TrainingPolicy.baseline().compute_dtype() is DType.F32
-    assert eng.TrainingPolicy.mixed().compute_dtype() is DType.F16
-    assert eng.TrainingPolicy.mixed(reference_f32=True).compute_dtype() is DType.F32
+        eng.TrainingPolicy.mixed(clip_threshold=0.0)
+    assert eng.TrainingPolicy.baseline().precision.compute_dtype is DType.F32
+    assert eng.TrainingPolicy.mixed().precision.compute_dtype is DType.F16
+    reference = eng.TrainingPolicy(scaler=eng.ConstantScale(8.0))
+    assert reference.precision.compute_dtype is DType.F32
 
 
 # --- sgd_step ----------------------------------------------------------------
@@ -307,11 +314,11 @@ def test_clipping_operates_on_unscaled_gradients():
     clip = 0.05  # well below the natural norm so clipping engages
 
     model_a, params_a = tiny_model(seed=10)
-    pol_a = eng.TrainingPolicy.mixed(scaler=eng.ConstantScale(1.0),
-                                     clip_threshold=clip, reference_f32=True)
+    pol_a = eng.TrainingPolicy(scaler=eng.ConstantScale(1.0),
+                               clip_threshold=clip)
     model_b, params_b = tiny_model(seed=10)
-    pol_b = eng.TrainingPolicy.mixed(scaler=eng.ConstantScale(1024.0),
-                                     clip_threshold=clip, reference_f32=True)
+    pol_b = eng.TrainingPolicy(scaler=eng.ConstantScale(1024.0),
+                               clip_threshold=clip)
     for i in range(5):
         ra = eng.train_step(model_a, params_a, x, t, pol_a, lr=0.1, iteration=i)
         rb = eng.train_step(model_b, params_b, x, t, pol_b, lr=0.1, iteration=i)
@@ -322,14 +329,31 @@ def test_clipping_operates_on_unscaled_gradients():
         assert np.abs(a - b).max() <= 4 * np.finfo(np.float32).eps * np.abs(a).max() + 1e-9
 
 
+def test_clipped_step_computes_global_norm_once(monkeypatch):
+    calls = []
+    norm = eng.grad_global_norm
+    monkeypatch.setattr(eng, "grad_global_norm",
+                        lambda unscaled: calls.append(1) or norm(unscaled))
+    model, params = tiny_model(seed=10)
+    x, t = healthy_batch(seed=10)
+    policy = eng.TrainingPolicy(clip_threshold=0.05)
+    for i in range(3):
+        report = eng.train_step(model, params, x, t, policy, lr=0.1, iteration=i)
+        assert report.grad_norm > 0.05 and len(calls) == i + 1
+
+
 def test_nonfinite_loss_in_baseline_raises():
-    model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
-    params = {"0.weight": eng.Parameter(
-        "0.weight", T.from_values([1, 1], DType.F32, [1e30]))}
+    # f32 precision raises under any scaler: the loss is computed before
+    # scaling, so only broken numerics make it non-finite
     x = T.from_values([1, 1], DType.F32, [1e30])
     t = T.from_values([1, 1], DType.F32, [0.0])
-    with pytest.raises(eng.NumericalError):
-        eng.train_step(model, params, x, t, eng.TrainingPolicy.baseline(), lr=0.1)
+    for policy in (eng.TrainingPolicy.baseline(),
+                   eng.TrainingPolicy(scaler=eng.ConstantScale(8.0))):
+        model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
+        params = {"0.weight": eng.Parameter(
+            "0.weight", T.from_values([1, 1], DType.F32, [1e30]))}
+        with pytest.raises(eng.NumericalError):
+            eng.train_step(model, params, x, t, policy, lr=0.1)
 
 
 def test_step_csv_writer(tmp_path):
