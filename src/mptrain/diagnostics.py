@@ -21,7 +21,6 @@ import numpy as np
 from . import binary16 as b16
 from . import mp_engine
 from . import nn
-from . import tensor as T
 from .tensor import DType, Tensor
 
 
@@ -100,13 +99,13 @@ def _merged(tensors) -> ExponentHistogram | None:
     return functools.reduce(merge, hists) if hists else None
 
 
-def report(h: ExponentHistogram, thresholds: tuple[int, ...] = (-24, -27)
-           ) -> UnderflowReport:
+def report(h: ExponentHistogram) -> UnderflowReport:
+    """fraction_below at 2^-24, the smallest f16 subnormal, and 2^-27."""
     rec = (mp_engine.suggest_constant_scale(h.max_abs)
            if h.max_abs > 0 else float("nan"))
     return UnderflowReport(
         fraction_zero=h.fraction_zero(),
-        fraction_below={e: h.fraction_below(e) for e in thresholds},
+        fraction_below={e: h.fraction_below(e) for e in (-24, -27)},
         max_abs=h.max_abs,
         recommended_scale=rec,
     )
@@ -148,34 +147,20 @@ def csv_name(run_id: str, role: str, iteration: int) -> str:
 
 
 class SampleHook:
-    """Training-loop attachment: every_n iterations it histograms the
-    weight gradients and activation gradients (as stored, i.e. before
-    unscaling) and optionally the unscaled f32 weight gradients."""
+    """Training-loop observer: histograms the weight gradients and the
+    activation gradients of each step it is handed, as stored (before
+    unscaling), and writes them to out_dir as two CSVs named by
+    csv_name.  The caller chooses which steps to hand it."""
 
-    def __init__(self, every_n: int, out_dir=None, run_id: str = "run",
-                 unscaled_too: bool = False):
-        if every_n < 1:
-            raise ValueError("every_n must be >= 1")
-        self.every_n = every_n
+    def __init__(self, out_dir, run_id: str):
         self.out_dir = out_dir
         self.run_id = run_id
-        self.unscaled_too = unscaled_too
-        self.captures: list[dict] = []
 
     def __call__(self, iteration: int, grads: nn.Gradients,
                  unscaled: dict[str, np.ndarray]) -> None:
-        if iteration % self.every_n != 0:
-            return
-        cap = {"iteration": iteration,
-               "weight_grad": _merged(grads.weights.values()),
-               "act_grad": _merged(grads.activations)}
-        if self.unscaled_too:
-            cap["weight_grad_unscaled"] = _merged(
-                T.store(arr, DType.F32) for arr in unscaled.values())
-        self.captures.append(cap)
-        if self.out_dir is not None:
-            for role in ("weight_grad", "act_grad"):
-                if cap.get(role) is not None:
-                    write_csv(os.path.join(
-                        self.out_dir, csv_name(self.run_id, role, iteration)),
-                        cap[role])
+        for role, tensors in (("weight_grad", grads.weights.values()),
+                              ("act_grad", grads.activations)):
+            h = _merged(tensors)
+            if h is not None:
+                write_csv(os.path.join(
+                    self.out_dir, csv_name(self.run_id, role, iteration)), h)

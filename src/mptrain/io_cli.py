@@ -207,18 +207,17 @@ class RunConfig:
 
 
 def _build_scaler(cfg: Config):
-    raw = cfg.get("policy", "loss_scale", "1")
-    if raw.lower() == "dynamic":
-        return eng.DynamicScale(
-            init_scale=_get_typed(cfg, "policy", "init_scale", float, 2.0**15, "a number"),
-            growth_factor=_get_typed(cfg, "policy", "growth_factor", float, 2.0, "a number"),
-            backoff_factor=_get_typed(cfg, "policy", "backoff_factor", float, 0.5, "a number"),
-            growth_interval=_get_typed(cfg, "policy", "growth_interval", int, 2000, "an integer"),
-        )
-    try:
-        return eng.ConstantScale(float(raw))
-    except ValueError as e:
-        raise ConfigError(f"field policy.loss_scale: {e}") from e
+    """A DynamicScale gets only the settings the config sets."""
+    if cfg.get("policy", "loss_scale", "").lower() != "dynamic":
+        return eng.ConstantScale(
+            _get_typed(cfg, "policy", "loss_scale", float, 1.0, "a number"))
+    settings = {key: _get_typed(cfg, "policy", key, convert, None, kind)
+                for key, convert, kind in (
+                    ("init_scale", float, "a number"),
+                    ("growth_factor", float, "a number"),
+                    ("backoff_factor", float, "a number"),
+                    ("growth_interval", int, "an integer"))}
+    return eng.DynamicScale(**{k: v for k, v in settings.items() if v is not None})
 
 
 def _build_policy(cfg: Config) -> eng.TrainingPolicy:
@@ -233,13 +232,10 @@ def _build_policy(cfg: Config) -> eng.TrainingPolicy:
 
     try:
         if preset == "fp32":
-            return eng.TrainingPolicy.baseline()
-        if preset == "mp_noscale":
-            return eng.TrainingPolicy.mixed(
-                scaler=eng.ConstantScale(1.0), accum=accum, clip_threshold=clip)
-        return eng.TrainingPolicy.mixed(
-            scaler=_build_scaler(cfg), use_master=preset != "mp_nomaster",
-            accum=accum, clip_threshold=clip)
+            return eng.TrainingPolicy(clip_threshold=clip)
+        scaler = eng.ConstantScale() if preset == "mp_noscale" else _build_scaler(cfg)
+        return eng.TrainingPolicy(nn.PrecisionPolicy(DType.F16, accum),
+                                  preset != "mp_nomaster", scaler, clip)
     except ValueError as e:
         raise ConfigError(f"policy: {e}") from e
 
@@ -535,8 +531,9 @@ def run(config: RunConfig) -> RunResult:
     model = nn.model_from_specs(specs)
     params = eng.make_parameters(model, config.seed)
     for name, arr in bundle.init_overrides.items():
-        if name not in params:
-            raise ConfigError(f"init override {name} has no matching parameter")
+        if model.param_shapes().get(name) != arr.shape:
+            raise ConfigError(f"init override {name} {arr.shape} does not fit model."
+                              f"layers, which give it {model.param_shapes().get(name)}")
         params[name] = eng.Parameter(name, T.store(arr, DType.F32))
 
     out_dir = config.output_dir
@@ -547,7 +544,7 @@ def run(config: RunConfig) -> RunResult:
     if config.sample_every > 0:
         hist_dir = os.path.join(out_dir, "histograms")
         os.makedirs(hist_dir, exist_ok=True)
-        hook = diag.SampleHook(config.sample_every, hist_dir, run_id)
+        hook = diag.SampleHook(hist_dir, run_id)
 
     steps_path = os.path.join(out_dir, "steps.csv")
     epochs_path = os.path.join(out_dir, "epochs.csv")
@@ -572,9 +569,10 @@ def run(config: RunConfig) -> RunResult:
                 idx = perm[bi * bs:(bi + 1) * bs]
                 x = _flatten_for_model(T.take(train.inputs, idx), specs)
                 y = T.take(train.labels, idx)
+                sampled = hook and iteration % config.sample_every == 0
                 report = eng.train_step(model, params, x, y, config.policy,
-                                        config.lr, config.momentum,
-                                        config.nesterov, iteration, hook)
+                                        config.lr, config.momentum, config.nesterov,
+                                        iteration, hook if sampled else None)
                 steps_csv.write(report)
                 epoch_loss += report.loss
                 iteration += 1

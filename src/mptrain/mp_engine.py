@@ -100,10 +100,12 @@ class TrainingPolicy:
     """What the training loop is allowed to do with precision.
 
     `precision` places every tensor and matmul: F32 storage is the
-    baseline, F16 storage is mixed precision, with ACC32 or ACC16 dot
-    products.  `use_master` keeps f32 master weights (False updates the
-    f16 shadows directly), `scaler` sets the loss scale, and
-    `clip_threshold` clips the global norm of the unscaled gradients.
+    baseline, `TrainingPolicy()`; F16 storage is mixed precision, with
+    ACC32 or ACC16 dot products, e.g. `TrainingPolicy(nn.MP_POLICY)`.
+    This constructor is the one way to build a policy.  `use_master`
+    keeps f32 master weights (False updates the f16 shadows directly),
+    `scaler` sets the loss scale, and `clip_threshold` clips the global
+    norm of the unscaled gradients.
 
     F32 precision trains the masters with ACC32 under any scaler; a
     scale other than 1 keeps the scaling orchestration (scale, unscale,
@@ -122,16 +124,6 @@ class TrainingPolicy:
             raise ValueError("f32 precision trains the masters with ACC32")
         if self.clip_threshold is not None and not self.clip_threshold > 0:
             raise ValueError("clip_threshold must be positive")
-
-    @staticmethod
-    def baseline() -> "TrainingPolicy":
-        return TrainingPolicy()
-
-    @staticmethod
-    def mixed(scaler=None, use_master=True, accum=AccumMode.ACC32,
-              clip_threshold=None) -> "TrainingPolicy":
-        return TrainingPolicy(nn.PrecisionPolicy(DType.F16, accum), use_master,
-                              scaler or ConstantScale(1.0), clip_threshold)
 
 
 class Parameter:
@@ -269,7 +261,9 @@ def train_step(model: nn.Model, params: dict[str, Parameter], inputs: Tensor,
                iteration: int = 0,
                observer: Optional[GradObserver] = None) -> StepReport:
     """One optimizer step under the policy; see the module docstring for
-    the exact ordering."""
+    the exact ordering.  `observer` gets the stored gradients (with the
+    model-input gradient, which only observed steps compute) and the
+    unscaled f32 weight gradients; pass it only on the steps to sample."""
     for p in params.values():
         p.sync_shadow()
     bind_parameters(model, params, policy)
@@ -395,10 +389,17 @@ def load_checkpoint(path) -> tuple[nn.Model, dict[str, Parameter]]:
     for name, t in tensors.items():
         if name.startswith("param."):
             params[name[6:]] = Parameter(name[6:], t)
+    found = {name: p.master.shape for name, p in params.items()}
+    if found != model.param_shapes():
+        raise ValueError(f"checkpoint parameters {found} do not match its "
+                         f"layers' {model.param_shapes()}")
     for name, t in tensors.items():
         if name.startswith("momentum."):
+            if t.shape != found[name[9:]]:
+                raise ValueError(f"checkpoint {name} has shape {t.shape}, "
+                                 f"its parameter {found[name[9:]]}")
             params[name[9:]].momentum_buf = t.data.copy()
         elif name.startswith("state."):
             model.state[name[6:]] = t.data.copy()
-    bind_parameters(model, params, TrainingPolicy.baseline())
+    bind_parameters(model, params, TrainingPolicy())
     return model, params

@@ -230,8 +230,9 @@ def slice_(t: Tensor, key) -> Tensor:
     return _freeze(out, t.dtype)
 
 
-def take(t: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
-    out = np.take(t.data, np.asarray(indices, dtype=np.int64), axis=axis)
+def take(t: Tensor, indices: np.ndarray) -> Tensor:
+    """The rows of t at indices, along axis 0."""
+    out = np.take(t.data, np.asarray(indices, dtype=np.int64), axis=0)
     return _freeze(np.ascontiguousarray(out), t.dtype)
 
 

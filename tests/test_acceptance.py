@@ -215,7 +215,7 @@ def test_criterion_05_loss_scaling_rescue(tmp_path):
     x = T.take(bundle.train.inputs, np.arange(io_cli.UNDERFLOW_BATCH_SIZE))
     y = T.take(bundle.train.labels, np.arange(io_cli.UNDERFLOW_BATCH_SIZE))
     eng.train_step(model, params, x, y,
-                   eng.TrainingPolicy.mixed(scaler=eng.ConstantScale(1.0)),
+                   eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(1.0)),
                    lr=0.5, observer=lambda i, g, u: captured.update(g=g))
     act = None
     for a in captured["g"].activations:
@@ -324,7 +324,7 @@ def test_criterion_07_master_copy_ablation(tmp_path):
     x = T.take(bundle.train.inputs, np.arange(32))
     y = T.take(bundle.train.labels, np.arange(32))
     eng.train_step(model, params, x, y,
-                   eng.TrainingPolicy.mixed(use_master=False), lr=0.0005,
+                   eng.TrainingPolicy(nn.MP_POLICY, use_master=False), lr=0.0005,
                    observer=lambda i, g, u: seen.update(u))
     for name in ("0.weight", "2.weight"):
         w = np.abs(params[name].master.data.reshape(-1))
@@ -357,7 +357,8 @@ def test_criterion_08_dynamic_scaler():
     model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
     params = {"0.weight": eng.Parameter(
         "0.weight", T.from_values([1, 1], DType.F32, [256.0]))}
-    policy = eng.TrainingPolicy.mixed(scaler=eng.DynamicScale(init_scale=1024.0))
+    policy = eng.TrainingPolicy(nn.MP_POLICY,
+                                scaler=eng.DynamicScale(init_scale=1024.0))
     x = T.from_values([1, 1], DType.F32, [256.0])
     t = T.from_values([1, 1], DType.F32, [0.0])
     master_before = params["0.weight"].master.data.copy()
@@ -372,7 +373,8 @@ def test_criterion_08_dynamic_scaler():
     model = nn.Model([nn.Linear(2, 1, bias=False), nn.MeanSquaredError()])
     params = {"0.weight": eng.Parameter(
         "0.weight", T.from_values([2, 1], DType.F32, [0.5, -0.25]))}
-    policy = eng.TrainingPolicy.mixed(scaler=eng.DynamicScale(init_scale=1024.0))
+    policy = eng.TrainingPolicy(nn.MP_POLICY,
+                                scaler=eng.DynamicScale(init_scale=1024.0))
     assert policy.scaler.growth_interval == 2000
     x = T.from_values([4, 2], DType.F32, [1.0, 0.5, -0.5, 1.0, 0.25, -1.0, 0.75, 0.125])
     t = T.from_values([4, 1], DType.F32, [0.1, -0.2, 0.05, 0.3])

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -133,33 +134,27 @@ def test_csv_roundtrip(tmp_path):
     assert back.total == h.total
 
 
-def test_sample_hook_factory():
-    hook = diag.SampleHook(5, run_id="x")
-    assert isinstance(hook, diag.SampleHook)
-    assert hook.every_n == 5
-    with pytest.raises(ValueError):
-        diag.SampleHook(0)
-
-
 def test_hook_cadence_and_capture(tmp_path):
     model = nn.Model([nn.Linear(3, 2, bias=False), nn.MeanSquaredError()])
     params = eng.make_parameters(model, 0)
     rng = np.random.default_rng(4)
     x = T.store(rng.normal(0, 1, (8, 3)).astype(np.float32), DType.F32)
     t = T.store(rng.normal(0, 1, (8, 2)).astype(np.float32), DType.F32)
-    hook = diag.SampleHook(every_n=3, out_dir=tmp_path, run_id="h")
-    policy = eng.TrainingPolicy.mixed()
+    hook = diag.SampleHook(tmp_path, "h")
+    policy = eng.TrainingPolicy(nn.MP_POLICY)
     for i in range(7):
         eng.train_step(model, params, x, t, policy, lr=0.05, iteration=i,
-                       observer=hook)
-    assert [c["iteration"] for c in hook.captures] == [0, 3, 6]
-    cap = hook.captures[0]
-    assert cap["weight_grad"].total == 6  # one 3x2 weight grad
-    assert cap["act_grad"] is not None
-    assert (tmp_path / diag.csv_name("h", "weight_grad", 3)).exists()
+                       observer=hook if i % 3 == 0 else None)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        diag.csv_name("h", role, i)
+        for role in ("weight_grad", "act_grad") for i in (0, 3, 6))
+    weight = diag.read_csv(tmp_path / diag.csv_name("h", "weight_grad", 0))
+    assert weight.total == 6  # one 3x2 weight grad
+    act = diag.read_csv(tmp_path / diag.csv_name("h", "act_grad", 0))
+    assert act.total == 8 * 3 + 8 * 2  # model-input and loss-input grads
 
 
-def test_hook_purity_trajectories_identical():
+def test_hook_purity_trajectories_identical(tmp_path):
     def run(observer):
         model = nn.Model([nn.Linear(4, 3), nn.Tanh(), nn.Linear(3, 2),
                           nn.SoftmaxCrossEntropy()])
@@ -167,7 +162,7 @@ def test_hook_purity_trajectories_identical():
         rng = np.random.default_rng(5)
         x = T.store(rng.normal(0, 1, (16, 4)).astype(np.float32), DType.F32)
         labels = rng.integers(0, 2, 16)
-        policy = eng.TrainingPolicy.mixed(scaler=eng.ConstantScale(8.0))
+        policy = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(8.0))
         reports = []
         for i in range(10):
             reports.append(eng.train_step(model, params, x, labels, policy,
@@ -176,7 +171,7 @@ def test_hook_purity_trajectories_identical():
         return reports, params
 
     plain, params_a = run(None)
-    hooked, params_b = run(diag.SampleHook(every_n=2, unscaled_too=True))
+    hooked, params_b = run(diag.SampleHook(tmp_path, "p"))
     assert plain == hooked
     for k in params_a:
         assert T.bits_equal(params_a[k].master, params_b[k].master)

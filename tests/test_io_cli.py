@@ -8,6 +8,7 @@ from mptrain import binary16 as b16
 from mptrain import diagnostics as diag
 from mptrain import io_cli
 from mptrain import mp_engine as eng
+from mptrain import nn
 from mptrain import tensor as T
 from mptrain.io_cli import Config, ConfigError, DataError, RunConfig
 
@@ -89,6 +90,14 @@ def test_policy_presets():
     unset = "[run]\ntask = synthetic_classify\noutput_dir = /tmp/x\n"
     p = RunConfig.from_config(Config.parse(unset)).policy
     assert p.precision.compute_dtype is T.DType.F32
+
+
+def test_fp32_preset_keeps_clip_threshold():
+    text = ("[run]\ntask = synthetic_classify\noutput_dir = /tmp/x\n"
+            "[policy]\npreset = fp32\nclip_threshold = 1.0\n")
+    p = RunConfig.from_config(Config.parse(text)).policy
+    assert p.precision.compute_dtype is T.DType.F32
+    assert p.clip_threshold == 1.0
 
 
 def test_policy_dynamic_scaler_fields():
@@ -202,7 +211,7 @@ def test_underflow_task_gradients_flush_at_scale_1():
     bs = io_cli.UNDERFLOW_BATCH_SIZE
     x = T.take(bundle.train.inputs, np.arange(bs))
     y = T.take(bundle.train.labels, np.arange(bs))
-    policy = eng.TrainingPolicy.mixed(scaler=eng.ConstantScale(1.0))
+    policy = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(1.0))
     eng.train_step(model, params, x, y, policy, lr=0.5, observer=observer)
 
     act_h = None
@@ -243,11 +252,29 @@ def test_run_with_sampling_hook_writes_histograms(tmp_path):
     cfg.set("run.epochs", "1")
     io_cli.run(RunConfig.from_config(cfg))
     hist_dir = tmp_path / "hooked" / "histograms"
-    files = sorted(os.listdir(hist_dir))
-    assert any("weight_grad" in f for f in files)
-    assert any("act_grad" in f for f in files)
-    h = diag.read_csv(hist_dir / [f for f in files if "weight_grad" in f][0])
+    run_id = cfg.hash()[:12]
+    assert sorted(os.listdir(hist_dir)) == sorted(
+        diag.csv_name(run_id, role, i)
+        for role in ("weight_grad", "act_grad") for i in (0, 32))
+    h = diag.read_csv(hist_dir / diag.csv_name(run_id, "weight_grad", 32))
     assert h.total > 0
+
+
+def test_run_computes_input_grad_only_on_sampled_steps(tmp_path, monkeypatch):
+    calls = []
+    backward = nn.backward
+
+    def spy(model, tape, scale, first_input_grad=True):
+        calls.append(first_input_grad)
+        return backward(model, tape, scale, first_input_grad=first_input_grad)
+
+    monkeypatch.setattr(nn, "backward", spy)
+    cfg = Config.parse(BASE_CONFIG.format(out=tmp_path / "hooked"))
+    cfg.set("run.sample_every", "16")
+    cfg.set("run.epochs", "1")
+    io_cli.run(RunConfig.from_config(cfg))
+    assert len(calls) == 4096 // 64
+    assert [i for i, first in enumerate(calls) if first] == [0, 16, 32, 48]
 
 
 def test_run_hook_does_not_change_metrics(tmp_path):
@@ -409,6 +436,33 @@ def _checkpoint_without_parameters(tmp):
     return ["histogram", str(tmp / "n.ckpt")]
 
 
+def _checkpoint(tmp, name, entries):
+    """A checkpoint of Linear(4,3,bias=true) holding the given tensors."""
+    manifest = ["MPCKPT 1", "layer.0 = Linear(4,3,bias=true)",
+                "layer.1 = MeanSquaredError"]
+    manifest += [f"entry.{i} = {key}" for i, (key, _) in enumerate(entries)]
+    with open(tmp / name, "wb") as fh:
+        fh.write(("\n".join(manifest + ["END"]) + "\n").encode())
+        for _, shape in entries:
+            T.write_tensor(fh, T.store(np.zeros(shape, np.float32), T.DType.F32))
+    return ["histogram", str(tmp / name)]
+
+
+def _checkpoint_weight_of_wrong_shape(tmp):
+    return _checkpoint(tmp, "w.ckpt", [("param.0.weight", (5, 7)),
+                                       ("param.0.bias", (3,))])
+
+
+def _checkpoint_missing_bias(tmp):
+    return _checkpoint(tmp, "b.ckpt", [("param.0.weight", (4, 3))])
+
+
+def _checkpoint_momentum_of_wrong_shape(tmp):
+    return _checkpoint(tmp, "m.ckpt", [("param.0.weight", (4, 3)),
+                                       ("param.0.bias", (3,)),
+                                       ("momentum.0.weight", (3, 4))])
+
+
 def _non_numeric_cell(tmp):
     (tmp / "e.csv").write_text("epoch,train_loss,val_loss,val_acc\n"
                                "0,1.0,abc,0.5\n")
@@ -427,7 +481,9 @@ def _idx_dims_cut_short(tmp):
 
 @pytest.mark.parametrize("make_argv", [
     _garbage_csv, _garbage_checkpoint, _missing_file, _short_tensor_header,
-    _checkpoint_without_parameters, _non_numeric_cell, _idx_dims_cut_short])
+    _checkpoint_without_parameters, _checkpoint_weight_of_wrong_shape,
+    _checkpoint_missing_bias, _checkpoint_momentum_of_wrong_shape,
+    _non_numeric_cell, _idx_dims_cut_short])
 def test_cli_malformed_file_exits_2_with_one_line(make_argv, tmp_path, capsys):
     assert io_cli.main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -445,6 +501,20 @@ def test_cli_labels_beyond_model_classes_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
     steps = (tmp_path / "out" / "steps.csv").read_text().splitlines()
     assert steps == [eng.STEP_CSV_HEADER]
+
+
+def test_cli_init_override_of_wrong_shape_exits_1(tmp_path, capsys):
+    # the task sets 2.weight to (32, 4); this model's 2.weight is (8, 4)
+    cfg = Config.parse(BASE_CONFIG.format(out=tmp_path / "out"))
+    cfg.set("run.task", "synthetic_regress_small_grads")
+    cfg.set("model.layers", "Linear(16,8,bias=true); Tanh; "
+                            "Linear(8,4,bias=false); MeanSquaredError")
+    (tmp_path / "o.cfg").write_text(cfg.to_text())
+    assert io_cli.main(["train", str(tmp_path / "o.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "2.weight" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "steps.csv").exists()
 
 
 @pytest.mark.parametrize("field", ["policy.mode", "policy.use_master",

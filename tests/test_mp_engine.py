@@ -132,9 +132,9 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         eng.TrainingPolicy(use_master=False)
     with pytest.raises(ValueError):
-        eng.TrainingPolicy.mixed(clip_threshold=0.0)
-    assert eng.TrainingPolicy.baseline().precision.compute_dtype is DType.F32
-    assert eng.TrainingPolicy.mixed().precision.compute_dtype is DType.F16
+        eng.TrainingPolicy(nn.MP_POLICY, clip_threshold=0.0)
+    assert eng.TrainingPolicy().precision.compute_dtype is DType.F32
+    assert eng.TrainingPolicy(nn.MP_POLICY).precision.compute_dtype is DType.F16
     reference = eng.TrainingPolicy(scaler=eng.ConstantScale(8.0))
     assert reference.precision.compute_dtype is DType.F32
 
@@ -207,9 +207,9 @@ def test_train_step_scaled_matches_fp32_reference():
 
     model_a, params_a = build()
     rep_a = eng.train_step(model_a, params_a, x, t,
-                           eng.TrainingPolicy.baseline(), lr=0.1)
+                           eng.TrainingPolicy(), lr=0.1)
     model_b, params_b = build()
-    policy_b = eng.TrainingPolicy.mixed(scaler=eng.ConstantScale(8.0))
+    policy_b = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(8.0))
     rep_b = eng.train_step(model_b, params_b, x, t, policy_b, lr=0.1)
 
     assert not rep_a.skipped and not rep_b.skipped
@@ -226,7 +226,8 @@ def test_train_step_overflow_skips_and_halves_scale():
     model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
     params = {"0.weight": eng.Parameter("0.weight",
                                         T.from_values([1, 1], DType.F32, [256.0]))}
-    policy = eng.TrainingPolicy.mixed(scaler=eng.DynamicScale(init_scale=1024.0))
+    policy = eng.TrainingPolicy(nn.MP_POLICY,
+                                scaler=eng.DynamicScale(init_scale=1024.0))
     x = T.from_values([1, 1], DType.F32, [256.0])
     t = T.from_values([1, 1], DType.F32, [0.0])
 
@@ -245,7 +246,7 @@ def test_train_step_constant_scale_overflow_warns_and_skips():
     model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
     params = {"0.weight": eng.Parameter("0.weight",
                                         T.from_values([1, 1], DType.F32, [256.0]))}
-    policy = eng.TrainingPolicy.mixed(scaler=eng.ConstantScale(8.0))
+    policy = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(8.0))
     x = T.from_values([1, 1], DType.F32, [256.0])
     t = T.from_values([1, 1], DType.F32, [0.0])
     before = masters_snapshot(params)
@@ -259,8 +260,8 @@ def test_train_step_constant_scale_overflow_warns_and_skips():
 def test_growth_after_clean_steps():
     model, params = tiny_model(seed=8)
     x, t = healthy_batch(seed=8)
-    policy = eng.TrainingPolicy.mixed(
-        scaler=eng.DynamicScale(init_scale=1024.0, growth_interval=50))
+    policy = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.DynamicScale(
+        init_scale=1024.0, growth_interval=50))
     for i in range(49):
         rep = eng.train_step(model, params, x, t, policy, lr=0.01, iteration=i)
         assert not rep.overflow
@@ -281,7 +282,7 @@ def test_swamping_ablation_fp16_updates_stall():
     steps = 50
 
     model, params = build(use_master=False)
-    policy = eng.TrainingPolicy.mixed(use_master=False)
+    policy = eng.TrainingPolicy(nn.MP_POLICY, use_master=False)
     start_bits = params["0.weight"].shadow.data.copy()
     g = {"0.weight": np.array([[-update]], np.float32)}  # descend -> +update
     for _ in range(steps):
@@ -347,7 +348,7 @@ def test_nonfinite_loss_in_baseline_raises():
     # scaling, so only broken numerics make it non-finite
     x = T.from_values([1, 1], DType.F32, [1e30])
     t = T.from_values([1, 1], DType.F32, [0.0])
-    for policy in (eng.TrainingPolicy.baseline(),
+    for policy in (eng.TrainingPolicy(),
                    eng.TrainingPolicy(scaler=eng.ConstantScale(8.0))):
         model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
         params = {"0.weight": eng.Parameter(
@@ -370,7 +371,7 @@ def test_checkpoint_roundtrip(tmp_path):
     model, params = tiny_model(seed=11)
     x, t = healthy_batch(seed=11)
     for i in range(3):
-        eng.train_step(model, params, x, t, eng.TrainingPolicy.baseline(),
+        eng.train_step(model, params, x, t, eng.TrainingPolicy(),
                        lr=0.1, momentum=0.9, iteration=i)
     path = tmp_path / "model.ckpt"
     eng.save_checkpoint(path, model, params)
@@ -382,9 +383,9 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(p.momentum_buf, params2[k].momentum_buf)
 
     # training continues identically from the restored state
-    r1 = eng.train_step(model, params, x, t, eng.TrainingPolicy.baseline(),
+    r1 = eng.train_step(model, params, x, t, eng.TrainingPolicy(),
                         lr=0.1, momentum=0.9, iteration=3)
-    r2 = eng.train_step(model2, params2, x, t, eng.TrainingPolicy.baseline(),
+    r2 = eng.train_step(model2, params2, x, t, eng.TrainingPolicy(),
                         lr=0.1, momentum=0.9, iteration=3)
     assert r1.loss == r2.loss
     for k in params:

@@ -213,7 +213,7 @@ def test_transpose_reshape_slice_preserve_bits():
     assert np.array_equal(rs.data.ravel(), x.data.ravel())
     sl = T.slice_(x, (slice(1, 3), slice(None)))
     assert np.array_equal(sl.data, x.data[1:3])
-    tk = T.take(x, np.array([2, 0]), axis=0)
+    tk = T.take(x, np.array([2, 0]))
     assert np.array_equal(tk.data, x.data[[2, 0]])
 
 
