@@ -93,7 +93,7 @@ def merge(a: ExponentHistogram, b: ExponentHistogram) -> ExponentHistogram:
     return out
 
 
-def _merged(tensors) -> ExponentHistogram | None:
+def merged(tensors) -> ExponentHistogram | None:
     """Histogram of every tensor that is not None, merged in order."""
     hists = [histogram(t) for t in tensors if t is not None]
     return functools.reduce(merge, hists) if hists else None
@@ -160,7 +160,7 @@ class SampleHook:
                  unscaled: dict[str, np.ndarray]) -> None:
         for role, tensors in (("weight_grad", grads.weights.values()),
                               ("act_grad", grads.activations)):
-            h = _merged(tensors)
+            h = merged(tensors)
             if h is not None:
                 write_csv(os.path.join(
                     self.out_dir, csv_name(self.run_id, role, iteration)), h)

@@ -6,10 +6,11 @@ a run; executing it twice produces byte-identical metrics CSVs and
 checkpoints.
 
 Subcommands: train, compare, histogram, plot, halfdump, gendata.
-Exit codes: 0 ok, 1 config error (an unknown key included), 2 data error,
-3 numerical failure (non-finite loss under f32 precision, or a dynamic
-loss scale backed off to zero).  The dataset directory comes from the
-config or the MPTRAIN_DATA_DIR environment variable.
+Exit codes: 0 ok, 1 config error (unknown keys, malformed layer specs and
+models that do not fit the task included), 2 data error, 3 numerical
+failure (non-finite loss under f32 precision, or a dynamic loss scale
+backed off to zero).  The dataset directory comes from the config or the
+MPTRAIN_DATA_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -122,16 +123,11 @@ def _get_typed(cfg, section, key, convert, default, kind):
         raise ConfigError(f"field {section}.{key}: expected {kind}, got {raw!r}") from None
 
 
-def _get_bool(cfg, section, key, default):
-    raw = cfg.get(section, key)
-    if raw is None or raw == "":
-        return default
+def _bool(raw: str) -> bool:
     low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"field {section}.{key}: expected a boolean, got {raw!r}")
+    if low not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(raw)
+    return low in ("true", "1", "yes")
 
 
 TASKS = ("synthetic_classify", "synthetic_regress_small_grads", "mnist")
@@ -185,7 +181,7 @@ class RunConfig:
             batch_size=_get_typed(cfg, "run", "batch_size", int, 32, "an integer"),
             lr=_get_typed(cfg, "run", "lr", float, 0.1, "a number"),
             momentum=_get_typed(cfg, "run", "momentum", float, 0.0, "a number"),
-            nesterov=_get_bool(cfg, "run", "nesterov", False),
+            nesterov=_get_typed(cfg, "run", "nesterov", _bool, False, "a boolean"),
             output_dir=cfg.require("run", "output_dir"),
             data_dir=cfg.get("run", "data_dir") or os.environ.get(DATA_DIR_ENV),
             sample_every=_get_typed(cfg, "run", "sample_every", int, 0, "an integer"),
@@ -193,6 +189,8 @@ class RunConfig:
             policy=_build_policy(cfg),
             source=cfg,
         )
+        if not 0 <= rc.seed < 2**64:
+            raise ConfigError("run.seed must be in [0, 2**64)")
         if rc.epochs < 1:
             raise ConfigError("run.epochs must be >= 1")
         if rc.batch_size < 1:
@@ -322,9 +320,6 @@ def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
     def load_pair(img_name, lab_name, split):
         images = _read_idx(os.path.join(data_dir, img_name), IDX_IMAGES_MAGIC)
         labels = _read_idx(os.path.join(data_dir, lab_name), IDX_LABELS_MAGIC)
-        if images.shape[0] != labels.shape[0]:
-            raise DataError(f"{split}: {images.shape[0]} images vs "
-                            f"{labels.shape[0]} labels")
         if labels.max() > 9:
             raise DataError(f"{split}: label {labels.max()} out of range [0, 9]")
         x = (images.astype(np.float32) / np.float32(255.0))
@@ -494,15 +489,10 @@ class RunResult:
     checkpoint: str
 
 
-def _flatten_for_model(t: Tensor, specs: list[str]) -> Tensor:
-    if specs[0].startswith("Linear") and len(t.shape) > 2:
-        return T.reshape(t, (t.shape[0], int(np.prod(t.shape[1:]))))
-    return t
-
-
 def evaluate(model: nn.Model, ds: Dataset, policy: eng.TrainingPolicy,
-             batch_size: int, specs: list[str]) -> tuple[float, float]:
-    """Validation loss and accuracy under the policy's precision.
+             batch_size: int) -> tuple[float, float]:
+    """Loss and accuracy over ds under the policy's precision, with the
+    inputs in the shape ds holds them (the shape the first layer takes).
 
     Targets are cast like train_step casts them; class ids stay exact in
     f16 below 2048.  Labels of shape [B] are class ids, [B, C] one-hot.
@@ -513,8 +503,7 @@ def evaluate(model: nn.Model, ds: Dataset, policy: eng.TrainingPolicy,
     n = ds.size
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
-        x = _flatten_for_model(T.take(ds.inputs, idx), specs)
-        x = T.cast(x, pdtype)
+        x = T.cast(T.take(ds.inputs, idx), pdtype)
         y = T.cast(T.take(ds.labels, idx), pdtype)
         loss, _ = nn.forward(model, x, y, policy.precision, train=False)
         total_loss += loss * len(idx)
@@ -551,6 +540,10 @@ def run(config: RunConfig) -> RunResult:
     ckpt_path = os.path.join(out_dir, "model.ckpt")
 
     train, val = bundle.train, bundle.val
+    if isinstance(model.layers[0], nn.Linear):
+        # one [N, features] view of each split, so batches need no reshape
+        train, val = (Dataset(T.reshape(d.inputs, (d.size, -1)), d.labels, d.split)
+                      for d in (train, val))
     bs = config.batch_size
     n_batches = train.size // bs
     if n_batches < 1:
@@ -567,7 +560,7 @@ def run(config: RunConfig) -> RunResult:
             epoch_loss = 0.0
             for bi in range(n_batches):
                 idx = perm[bi * bs:(bi + 1) * bs]
-                x = _flatten_for_model(T.take(train.inputs, idx), specs)
+                x = T.take(train.inputs, idx)
                 y = T.take(train.labels, idx)
                 sampled = hook and iteration % config.sample_every == 0
                 report = eng.train_step(model, params, x, y, config.policy,
@@ -577,7 +570,7 @@ def run(config: RunConfig) -> RunResult:
                 epoch_loss += report.loss
                 iteration += 1
             train_loss = epoch_loss / n_batches
-            val_loss, val_acc = evaluate(model, val, config.policy, bs, specs)
+            val_loss, val_acc = evaluate(model, val, config.policy, bs)
             best_acc = max(best_acc, val_acc)
             epochs_csv.write(f"{epoch},{train_loss!r},{val_loss!r},{val_acc!r}\n")
             final_train, final_loss, final_acc = train_loss, val_loss, val_acc
@@ -823,10 +816,7 @@ def _cmd_histogram(args) -> int:
     if not params:
         raise DataError(f"{path}: checkpoint holds no parameters")
     out_dir = args.output_dir or os.path.dirname(os.path.abspath(path))
-    merged = None
-    for name, p in params.items():
-        h = diag.histogram(p.shadow)
-        merged = h if merged is None else diag.merge(merged, h)
+    merged = diag.merged(p.shadow for p in params.values())
     rep = diag.report(merged)
     diag.write_csv(os.path.join(out_dir, "hist_checkpoint_weights.csv"), merged)
     print(f"parameters: {merged.total} values, fraction_zero="
@@ -905,7 +895,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except ConfigError as e:
+    except (ConfigError, nn.ShapeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (DataError, nn.LabelError) as e:

@@ -159,7 +159,6 @@ def bind_parameters(model: nn.Model, params: dict[str, Parameter],
 class StepReport:
     iteration: int
     loss: float
-    scaled_loss: float
     overflow: bool
     skipped: bool
     scale: float
@@ -300,9 +299,7 @@ def train_step(model: nn.Model, params: dict[str, Parameter], inputs: Tensor,
                  use_master=policy.use_master)
     policy.scaler.update(overflow)
 
-    scaled_loss = float(np.float32(scale) * np.float32(loss))
-    return StepReport(iteration, loss, scaled_loss, overflow, skipped,
-                      scale, grad_norm)
+    return StepReport(iteration, loss, overflow, skipped, scale, grad_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +382,22 @@ def load_checkpoint(path) -> tuple[nn.Model, dict[str, Parameter]]:
 
         tensors = {name: T.read_tensor(fh) for name in names}
 
-    params: dict[str, Parameter] = {}
-    for name, t in tensors.items():
-        if name.startswith("param."):
-            params[name[6:]] = Parameter(name[6:], t)
-    found = {name: p.master.shape for name, p in params.items()}
-    if found != model.param_shapes():
-        raise ValueError(f"checkpoint parameters {found} do not match its "
-                         f"layers' {model.param_shapes()}")
+    # every parameter and state entry that the layers build, by shape
+    expected = {f"param.{k}": shape for k, shape in model.param_shapes().items()}
+    expected.update((f"state.{k}", arr.shape) for k, arr in model.state.items())
+    found = {name: t.shape for name, t in tensors.items()
+             if not name.startswith("momentum.")}
+    if found != expected:
+        raise ValueError(f"checkpoint entries {found} do not match its "
+                         f"layers' {expected}")
+    params = {name[6:]: Parameter(name[6:], t) for name, t in tensors.items()
+              if name.startswith("param.")}
     for name, t in tensors.items():
         if name.startswith("momentum."):
-            if t.shape != found[name[9:]]:
+            shape = expected.get("param." + name[9:])
+            if t.shape != shape:
                 raise ValueError(f"checkpoint {name} has shape {t.shape}, "
-                                 f"its parameter {found[name[9:]]}")
+                                 f"its parameter {shape}")
             params[name[9:]].momentum_buf = t.data.copy()
         elif name.startswith("state."):
             model.state[name[6:]] = t.data.copy()

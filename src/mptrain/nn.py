@@ -60,6 +60,10 @@ class Gradients:
     activations: list[Optional[Tensor]]
 
 
+class ShapeError(ValueError):
+    """A layer or loss input whose shape does not fit the layer."""
+
+
 def _store(values: np.ndarray, policy: PrecisionPolicy) -> Tensor:
     return T.store(values, policy.compute_dtype)
 
@@ -128,7 +132,7 @@ class Linear(Layer):
 
     def forward(self, x, params, policy, rec, train, state, prefix):
         if len(x.shape) != 2 or x.shape[1] != self.in_features:
-            raise ValueError(f"Linear expected [batch,{self.in_features}], got {x.shape}")
+            raise ShapeError(f"Linear expected [batch,{self.in_features}], got {x.shape}")
         rec.tensors["x"] = x
         acc = T.matmul(x, params["weight"], policy.accum, DType.F32).data
         if self.bias:
@@ -139,8 +143,7 @@ class Linear(Layer):
         grads = {"weight": T.matmul(T.transpose(rec.tensors["x"]), dy,
                                     policy.accum, policy.compute_dtype)}
         if self.bias:
-            grads["bias"] = T.store(T.seq_sum(dy.widen(), axis=0),
-                                    policy.compute_dtype)
+            grads["bias"] = T.reduce_sum(dy, 0, policy.compute_dtype)
         dx = None
         if want_dx:
             dx = T.matmul(dy, T.transpose(params["weight"]), policy.accum,
@@ -189,13 +192,13 @@ class Conv2d(Layer):
                 "bias": np.zeros(self.out_channels, dtype=np.float32)}
 
     def _geometry(self, shape):
+        if len(shape) != 4 or shape[1] != self.in_channels:
+            raise ShapeError(f"Conv2d expected [batch,{self.in_channels},h,w], got {shape}")
         b, c, h, w = shape
-        if c != self.in_channels:
-            raise ValueError(f"Conv2d expected {self.in_channels} channels, got {c}")
         oh = (h + 2 * self.pad - self.kh) // self.stride + 1
         ow = (w + 2 * self.pad - self.kw) // self.stride + 1
         if oh < 1 or ow < 1:
-            raise ValueError("kernel does not fit input")
+            raise ShapeError(f"Conv2d kernel does not fit input {shape}")
         return b, c, h, w, oh, ow
 
     def _im2col_bits(self, data: np.ndarray, oh: int, ow: int) -> np.ndarray:
@@ -237,7 +240,7 @@ class Conv2d(Layer):
                         policy.compute_dtype)
         dw = T.reshape(T.transpose(dw2d),
                        (self.out_channels, c, self.kh, self.kw))
-        db = T.store(T.seq_sum(dy_t.widen(), axis=0), policy.compute_dtype)
+        db = T.reduce_sum(dy_t, 0, policy.compute_dtype)
         if not want_dx:
             return None, {"weight": dw, "bias": db}
 
@@ -366,7 +369,7 @@ class BatchNorm(Layer):
 
     def forward(self, x, params, policy, rec, train, state, prefix):
         if len(x.shape) != 2 or x.shape[1] != self.features:
-            raise ValueError(f"BatchNorm expected [batch,{self.features}], got {x.shape}")
+            raise ShapeError(f"BatchNorm expected [batch,{self.features}], got {x.shape}")
         xw = x.widen()
         b = x.shape[0]
         if train:
@@ -451,7 +454,7 @@ class LSTMCell(Layer):
 
     def forward(self, x, params, policy, rec, train, state, prefix):
         if len(x.shape) != 3 or x.shape[2] != self.in_features:
-            raise ValueError(f"LSTMCell expected [batch,time,{self.in_features}], got {x.shape}")
+            raise ShapeError(f"LSTMCell expected [batch,time,{self.in_features}], got {x.shape}")
         b, steps, _ = x.shape
         h_t = T.zeros((b, self.hidden), policy.compute_dtype)
         c_t = T.zeros((b, self.hidden), policy.compute_dtype)
@@ -488,7 +491,7 @@ class LSTMCell(Layer):
         dw_hh = np.zeros(params["w_hh"].shape, dtype=np.float32)
         db = np.zeros(4 * self.hidden, dtype=np.float32)
         dx_steps = []
-        w_ih_t = T.transpose(params["w_ih"])
+        w_ih_t = T.transpose(params["w_ih"]) if want_dx else None
         w_hh_t = T.transpose(params["w_hh"])
 
         for t in reversed(range(steps)):
@@ -514,13 +517,16 @@ class LSTMCell(Layer):
             dw_hh += T.matmul(T.transpose(h_prev), dz, policy.accum, DType.F32).data
             db += T.seq_sum(dz.widen(), axis=0)
 
-            dx_steps.append(T.matmul(dz, w_ih_t, policy.accum,
-                                     policy.compute_dtype))
+            if want_dx:
+                dx_steps.append(T.matmul(dz, w_ih_t, policy.accum,
+                                         policy.compute_dtype))
             dh = T.matmul(dz, w_hh_t, policy.accum, policy.compute_dtype)
             dc = _store(dcw * gf, policy)
 
-        dx_data = np.stack([d.data for d in reversed(dx_steps)], axis=1)
-        dx = T.Tensor(dx_data.shape, policy.compute_dtype, dx_data)
+        dx = None
+        if want_dx:
+            dx_data = np.stack([d.data for d in reversed(dx_steps)], axis=1)
+            dx = T.Tensor(dx_data.shape, policy.compute_dtype, dx_data)
         grads = {"w_ih": T.store(dw_ih, policy.compute_dtype),
                  "w_hh": T.store(dw_hh, policy.compute_dtype),
                  "bias": T.store(db, policy.compute_dtype)}
@@ -547,8 +553,6 @@ class LabelError(ValueError):
 
 
 class LossLayer(Layer):
-    is_loss = True
-
     def loss(self, pred: Tensor, targets, policy, rec: TapeEntry) -> float:
         raise NotImplementedError
 
@@ -579,9 +583,11 @@ class SoftmaxCrossEntropy(LossLayer):
 
     def loss(self, pred, targets, policy, rec):
         zw = pred.widen()
+        if zw.ndim != 2:
+            raise ShapeError(f"SoftmaxCrossEntropy expected [batch,classes], got {zw.shape}")
         labels = self._labels(targets, zw.shape[1])
         if zw.shape[0] != labels.shape[0]:
-            raise ValueError("batch/label count mismatch")
+            raise ShapeError(f"SoftmaxCrossEntropy got {labels.size} labels for {zw.shape[0]} rows")
         with np.errstate(over="ignore", invalid="ignore"):
             m = zw.max(axis=1, keepdims=True)
             e = np.exp(zw - m)
@@ -621,7 +627,7 @@ class MeanSquaredError(LossLayer):
             targets, dtype=np.float32)
         pw = pred.widen()
         if pw.shape != tw.shape:
-            raise ValueError(f"prediction {pw.shape} vs target {tw.shape}")
+            raise ShapeError(f"MeanSquaredError prediction {pw.shape} vs target {tw.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
             diff = pw - tw
             loss = T.seq_sum(diff * diff) / np.float32(diff.size)
@@ -686,16 +692,9 @@ def forward(model: Model, inputs: Tensor, targets, policy: PrecisionPolicy,
                          f"{policy.compute_dtype}")
     if inputs.shape[0] < 1:
         raise ValueError("empty batch")
-    entries = []
-    x = inputs
-    for i, lay in enumerate(model.layers[:-1]):
-        rec = TapeEntry()
-        x = lay.forward(x, _layer_params(model, i), policy, rec, train,
-                        model.state, f"{i}.")
-        entries.append(rec)
+    x, entries = _run_layers(model, inputs, policy, train)
     rec = TapeEntry()
-    loss_layer = model.layers[-1]
-    loss = loss_layer.loss(x, targets, policy, rec)
+    loss = model.layers[-1].loss(x, targets, policy, rec)
     rec.tensors["pred"] = x
     entries.append(rec)
     return loss, ActivationTape(entries, policy)
@@ -706,9 +705,9 @@ def backward(model: Model, tape: ActivationTape, loss_scale: float = 1.0,
     """Back-propagate seeded with loss_scale, producing stored gradients.
 
     first_input_grad=False passes want_dx=False to the first layer: the
-    gradient w.r.t. the model input is diagnostics output only.  Linear
-    and Conv2d then skip it (activations[0] is None); weight gradients
-    are the same bits either way.
+    gradient w.r.t. the model input is diagnostics output only.  Linear,
+    Conv2d and LSTMCell then skip it (activations[0] is None); weight
+    gradients are the same bits either way.
     """
     if len(tape.entries) != len(model.layers):
         raise ValueError("tape does not match model")
@@ -725,7 +724,7 @@ def backward(model: Model, tape: ActivationTape, loss_scale: float = 1.0,
 
     for i in range(n - 2, -1, -1):
         dx, grads = model.layers[i].backward(
-            dy, _layer_params(model, i), policy, tape.entries[i],
+            dy, _layer_params(model.params, i), policy, tape.entries[i],
             want_dx=i > 0 or first_input_grad)
         for name, g in grads.items():
             weights[f"{i}.{name}"] = g
@@ -734,20 +733,28 @@ def backward(model: Model, tape: ActivationTape, loss_scale: float = 1.0,
     return Gradients(weights, activations)
 
 
-def _layer_params(model: Model, i: int) -> dict[str, Tensor]:
+def _run_layers(model: Model, x: Tensor, policy: PrecisionPolicy, train: bool
+                ) -> tuple[Tensor, list[TapeEntry]]:
+    """Every non-loss layer in order: the last output, one tape entry each."""
+    entries = []
+    for i, lay in enumerate(model.layers[:-1]):
+        rec = TapeEntry()
+        x = lay.forward(x, _layer_params(model.params, i), policy, rec, train,
+                        model.state, f"{i}.")
+        entries.append(rec)
+    return x, entries
+
+
+def _layer_params(params: dict, i: int) -> dict:
+    """The entries of params keyed "<i>.<name>", keyed by name."""
     prefix = f"{i}."
-    return {k[len(prefix):]: v for k, v in model.params.items()
-            if k.startswith(prefix)}
+    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
 
 
 def predictions(model: Model, inputs: Tensor, policy: PrecisionPolicy
                 ) -> np.ndarray:
     """Forward through every non-loss layer; returns the f32 outputs."""
-    x = inputs
-    for i, lay in enumerate(model.layers[:-1]):
-        x = lay.forward(x, _layer_params(model, i), policy, TapeEntry(),
-                        False, model.state, f"{i}.")
-    return x.widen()
+    return _run_layers(model, inputs, policy, train=False)[0].widen()
 
 
 def loss_ref_f64(model: Model, values: dict[str, np.ndarray], inputs: np.ndarray,
@@ -755,10 +762,8 @@ def loss_ref_f64(model: Model, values: dict[str, np.ndarray], inputs: np.ndarray
     """Float64 reference loss used by the finite-difference oracle."""
     x = inputs.astype(np.float64)
     for i, lay in enumerate(model.layers[:-1]):
-        prefix = f"{i}."
-        p64 = {k[len(prefix):]: np.asarray(v, dtype=np.float64)
-               for k, v in values.items() if k.startswith(prefix)}
-        x = lay.forward_ref(x, p64)
+        x = lay.forward_ref(x, {k: np.asarray(v, dtype=np.float64)
+                                for k, v in _layer_params(values, i).items()})
     return model.layers[-1].loss_ref(x, targets)
 
 
@@ -837,7 +842,10 @@ def layer_from_spec(text: str) -> Layer:
                 kwargs[key.strip()] = _parse_arg(val)
             else:
                 args.append(_parse_arg(piece))
-    return _LAYER_KINDS[kind](*args, **kwargs)
+    try:
+        return _LAYER_KINDS[kind](*args, **kwargs)
+    except TypeError as e:
+        raise ValueError(f"bad arguments in layer spec {text!r}: {e}") from None
 
 
 def model_from_specs(specs: list[str]) -> Model:

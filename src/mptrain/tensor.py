@@ -135,11 +135,11 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32,
            out_dtype: DType | None = None) -> Tensor:
     """[M,K] @ [K,N] with the accumulator semantics picked by `mode`.
 
-    ACC32: each product is formed in f32 and added to an f32 accumulator
-    in order k = 0..K-1; the result is rounded once on store.  ACC16:
-    the product is still exact in f32 (11-bit significands), but the
-    running accumulator is rounded back to binary16 after every
-    multiply-add, modeling hardware whose accumulator is f16.
+    Each product is formed in f32 and added to an f32 accumulator in
+    order k = 0..K-1.  ACC32 rounds the result once on store.  ACC16
+    (products are still exact: 11-bit significands) rounds the
+    accumulator to the binary16 grid after every add, modeling hardware
+    whose accumulator is f16.
     """
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ValueError("matmul expects 2-d tensors")
@@ -156,23 +156,18 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32,
 
     aw = a.widen()
     bw = b.widen()
+    acc16 = mode is AccumMode.ACC16
+    acc = np.zeros((m, n), dtype=np.float32)
     prod = np.empty((m, n), dtype=np.float32)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        if mode is AccumMode.ACC32:
-            acc = np.zeros((m, n), dtype=np.float32)
-            for i in range(k):
-                np.multiply(aw[:, i, None], bw[None, i, :], out=prod)
-                np.add(acc, prod, out=acc)
-            return store(acc, out_dtype)
-
-        acc_bits = np.zeros((m, n), dtype=np.uint16)
         for i in range(k):
             np.multiply(aw[:, i, None], bw[None, i, :], out=prod)
-            acc_bits = b16.from_f32_array(b16.to_f32_array(acc_bits) + prod)
-        if out_dtype is DType.F16:
-            return wrap_f16_bits(acc_bits)
-        return _freeze(b16.to_f32_array(acc_bits), DType.F32)
+            np.add(acc, prod, out=acc)
+            if acc16:
+                acc = b16.to_f32_array(b16.from_f32_array(acc))
+    if acc16:
+        return cast(store(acc, DType.F16), out_dtype)
+    return store(acc, out_dtype)
 
 
 def seq_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:

@@ -147,7 +147,7 @@ def test_idx_count_mismatch(tmp_path):
     io_cli.write_idx_images(tmp_path / "t10k-images-idx3-ubyte", images)
     io_cli.write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte",
                             np.zeros(3, dtype=np.uint8))
-    with pytest.raises(DataError, match="3 images vs 2 labels"):
+    with pytest.raises(DataError, match="3 inputs vs 2 labels"):
         io_cli.load_mnist(tmp_path)
 
 
@@ -463,6 +463,30 @@ def _checkpoint_momentum_of_wrong_shape(tmp):
                                        ("momentum.0.weight", (3, 4))])
 
 
+def _batchnorm_checkpoint(tmp, name, change_state):
+    """A Linear(16,4); BatchNorm(4) checkpoint whose state change_state edits."""
+    model = nn.model_from_specs(["Linear(16,4,bias=true)", "BatchNorm(4)",
+                                 "SoftmaxCrossEntropy"])
+    change_state(model.state)
+    eng.save_checkpoint(tmp / name, model, eng.make_parameters(model, 0))
+    return ["histogram", str(tmp / name)]
+
+
+def _checkpoint_state_of_wrong_shape(tmp):
+    return _batchnorm_checkpoint(tmp, "ws.ckpt", lambda state: state.update(
+        {"1.running_mean": np.zeros((5, 2), np.float32)}))
+
+
+def _checkpoint_missing_state(tmp):
+    return _batchnorm_checkpoint(tmp, "ms.ckpt",
+                                 lambda state: state.pop("1.running_var"))
+
+
+def _checkpoint_extra_state(tmp):
+    return _batchnorm_checkpoint(tmp, "es.ckpt", lambda state: state.update(
+        {"0.running_mean": np.zeros(4, np.float32)}))
+
+
 def _non_numeric_cell(tmp):
     (tmp / "e.csv").write_text("epoch,train_loss,val_loss,val_acc\n"
                                "0,1.0,abc,0.5\n")
@@ -483,7 +507,8 @@ def _idx_dims_cut_short(tmp):
     _garbage_csv, _garbage_checkpoint, _missing_file, _short_tensor_header,
     _checkpoint_without_parameters, _checkpoint_weight_of_wrong_shape,
     _checkpoint_missing_bias, _checkpoint_momentum_of_wrong_shape,
-    _non_numeric_cell, _idx_dims_cut_short])
+    _checkpoint_state_of_wrong_shape, _checkpoint_missing_state,
+    _checkpoint_extra_state, _non_numeric_cell, _idx_dims_cut_short])
 def test_cli_malformed_file_exits_2_with_one_line(make_argv, tmp_path, capsys):
     assert io_cli.main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -517,6 +542,45 @@ def test_cli_init_override_of_wrong_shape_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out" / "steps.csv").exists()
 
 
+@pytest.mark.parametrize("field,value,says", [
+    ("model.layers", "Linear(16); SoftmaxCrossEntropy", "field model.layers"),
+    ("model.layers", "Linear(16,4,foo=1); SoftmaxCrossEntropy", "field model.layers"),
+    ("model.layers", "ReLU(3); Linear(16,4); SoftmaxCrossEntropy", "field model.layers"),
+    ("run.seed", "-1", "run.seed"),
+    ("run.seed", "18446744073709551616", "run.seed"),
+])
+def test_cli_bad_layer_spec_or_seed_exits_1_with_one_line(field, value, says,
+                                                          tmp_path, capsys):
+    cfg = Config.parse(BASE_CONFIG.format(out=tmp_path / "out"))
+    cfg.set(field, value)
+    (tmp_path / "b.cfg").write_text(cfg.to_text())
+    assert io_cli.main(["train", str(tmp_path / "b.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {says}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task,layers,named", [
+    ("synthetic_classify", "Conv2d(1,2,3,3); SoftmaxCrossEntropy", "Conv2d"),
+    ("synthetic_classify", "LSTMCell(16,4); SoftmaxCrossEntropy", "LSTMCell"),
+    ("synthetic_classify", "Linear(8,4,bias=true); SoftmaxCrossEntropy", "Linear"),
+    ("synthetic_classify", "Linear(16,4); MeanSquaredError", "MeanSquaredError"),
+    ("synthetic_regress_small_grads", "Linear(16,32,bias=true); Tanh; "
+     "Linear(32,4,bias=false); SoftmaxCrossEntropy", "SoftmaxCrossEntropy"),
+])
+def test_cli_model_that_does_not_fit_the_task_exits_1(task, layers, named,
+                                                      tmp_path, capsys):
+    cfg = Config.parse(BASE_CONFIG.format(out=tmp_path / "out"))
+    cfg.set("run.task", task)
+    cfg.set("model.layers", layers)
+    (tmp_path / "s.cfg").write_text(cfg.to_text())
+    assert io_cli.main(["train", str(tmp_path / "s.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}") and err.count("\n") == 1
+    steps = (tmp_path / "out" / "steps.csv").read_text().splitlines()
+    assert steps == [eng.STEP_CSV_HEADER]
+
+
 @pytest.mark.parametrize("field", ["policy.mode", "policy.use_master",
                                    "policy.reference_f32", "policy.loss_scal",
                                    "run.epoch", "extra.key"])
@@ -544,6 +608,27 @@ def test_cli_gendata(tmp_path):
     assert io_cli.main(["gendata", str(tmp_path / "d"), "--seed", "1"]) == 0
     train, _ = io_cli.load_mnist(tmp_path / "d")
     assert train.size == 60000
+
+
+def test_mnist_run_with_lstm_first_keeps_image_inputs(tmp_path, monkeypatch):
+    io_cli.generate_surrogate_mnist(tmp_path / "data", n_train=32, n_test=16)
+    shapes = []
+
+    def train_step(model, params, inputs, *args, **kwargs):
+        shapes.append(inputs.shape)
+        return real_step(model, params, inputs, *args, **kwargs)
+
+    real_step = eng.train_step
+    monkeypatch.setattr(eng, "train_step", train_step)
+    text = (f"[run]\ntask = mnist\noutput_dir = {tmp_path / 'out'}\n"
+            f"data_dir = {tmp_path / 'data'}\nepochs = 1\nbatch_size = 16\n"
+            "[model]\nlayers = LSTMCell(28,8); Linear(8,10,bias=true); "
+            "SoftmaxCrossEntropy\n[policy]\npreset = mp\n")
+    r = io_cli.run(RunConfig.from_config(Config.parse(text)))
+    assert shapes == [(16, 28, 28)] * 2
+    assert np.isfinite(r.final_val_loss) and 0 <= r.final_val_acc <= 1
+    assert len((tmp_path / "out" / "steps.csv").read_text().splitlines()) == 3
+    assert eng.load_checkpoint(r.checkpoint)[0].spec_strings()[0] == "LSTMCell(28,8)"
 
 
 def test_env_var_data_dir(tmp_path, monkeypatch):

@@ -295,14 +295,14 @@ def test_predictions_shape_and_eval_mode():
     assert out.shape == (9, 2)
 
 
-@pytest.mark.parametrize("first", ["Linear(4,3,bias=true)",
+@pytest.mark.parametrize("first", ["Linear(4,3,bias=true)", "LSTMCell(4,3)",
                                    "Conv2d(2,3,2,2,stride=1,pad=1)"])
 def test_first_input_grad_false_skips_dx_only(first):
     rng = np.random.default_rng(13)
-    if first.startswith("Linear"):
+    if not first.startswith("Conv2d"):
         model = nn.model_from_specs([first, "Tanh", "Linear(3,2,bias=true)",
                                      "SoftmaxCrossEntropy"])
-        x = rng.normal(0, 1, (6, 4))
+        x = rng.normal(0, 1, (6, 5, 4) if first.startswith("LSTMCell") else (6, 4))
         targets = rng.integers(0, 2, 6)
     else:
         model = nn.model_from_specs([first, "Sigmoid", "MeanSquaredError"])

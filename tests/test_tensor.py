@@ -173,6 +173,23 @@ def test_matmul_nonfinite_propagates():
     out = T.matmul(a, b, T.AccumMode.ACC32, T.DType.F16)
     assert out.data[0, 0] == b16.POS_INF
 
+    # ACC16 with an F32 result: inf + -inf is the canonical f32 NaN
+    a = T.from_values([1, 2], T.DType.F16, [np.inf, -np.inf])
+    b = T.from_values([2, 1], T.DType.F16, [1.0, 1.0])
+    out = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F32)
+    assert out.data.view(np.uint32)[0, 0] == 0x7FC00000
+
+    # subnormal products (2^-24 kept, a later 2^-26 lost to the f16
+    # accumulator) and -0 operands: the F32 result is the F16 one widened
+    a = T.from_values([2, 3], T.DType.F16,
+                      [2.0**-12, 2.0**-14, -0.0, -0.0, 2.0**-13, 2.0**-24])
+    b = T.from_values([3, 2], T.DType.F16,
+                      [2.0**-12, -1.0, 2.0**-12, -0.0, 3.0, 2.0**-10])
+    wide = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F32)
+    half = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F16)
+    assert T.bits_equal(wide, T.cast(half, T.DType.F32))
+    assert wide.data[0, 0] == np.float32(2.0**-24)
+
 
 def test_reduce_sum_f32_accumulation():
     ones = T.full([4096], T.DType.F16, 1.0)
