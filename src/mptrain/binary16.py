@@ -191,8 +191,8 @@ def from_f32_array(x: np.ndarray) -> np.ndarray:
     x32 = np.asarray(x, dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         h = x32.astype(np.float16)
-    bits = h.view(np.uint16).copy()
     nan_mask = np.isnan(h)
+    bits = h.view(np.uint16)
     if nan_mask.any():
         bits[nan_mask] = CANONICAL_NAN
     return bits
@@ -204,7 +204,6 @@ def to_f32_array(bits: np.ndarray) -> np.ndarray:
     out = h.astype(np.float32)
     nan_mask = np.isnan(out)
     if nan_mask.any():
-        out = out.copy()
         out[nan_mask] = np.uint32(_F32_NAN_BITS).view(np.float32)
     return out
 

@@ -304,6 +304,8 @@ def _read_idx(path, expect_magic: int) -> np.ndarray:
             raise DataError(f"{path}: truncated dimensions ({len(raw_dims)} "
                             f"of {4 * ndim} bytes)")
         dims = struct.unpack(f">{ndim}I", raw_dims)
+        if 0 in dims:
+            raise DataError(f"{path}: empty dimension in {dims}")
         count = int(np.prod(dims))
         raw = fh.read(count)
         if len(raw) != count:

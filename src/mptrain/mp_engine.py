@@ -382,6 +382,9 @@ def load_checkpoint(path) -> tuple[nn.Model, dict[str, Parameter]]:
 
         tensors = {name: T.read_tensor(fh) for name in names}
 
+    for name, t in tensors.items():
+        if t.dtype is not DType.F32:
+            raise ValueError(f"checkpoint {name} is {t.dtype.name}, not F32")
     # every parameter and state entry that the layers build, by shape
     expected = {f"param.{k}": shape for k, shape in model.param_shapes().items()}
     expected.update((f"state.{k}", arr.shape) for k, arr in model.state.items())

@@ -11,11 +11,14 @@ the tape.
 A model is an ordered list of layers whose last element is a loss layer
 (SoftmaxCrossEntropy or MeanSquaredError).  Parameters are held in a
 dict keyed "<layer_index>.<name>" so an optimizer can own the master
-copies and re-bind fresh low-precision shadows before every step.
+copies and re-bind fresh low-precision shadows before every step; f32
+state is keyed the same way.  tests/oracles.py holds the f64 reference.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -68,14 +71,28 @@ def _store(values: np.ndarray, policy: PrecisionPolicy) -> Tensor:
     return T.store(values, policy.compute_dtype)
 
 
+def _normal(shape, fan_in: int, seed: int, index: int, k: int = 0) -> np.ndarray:
+    """Writable f32 N(0, 1/fan_in) draws from stream k of layer `index`."""
+    return T.random_normal(shape, DType.F32, 0.0, 1.0 / np.sqrt(fan_in),
+                           seed=seed, stream=(index << 8) | k).data.copy()
+
+
+@functools.cache
+def _signature(cls: type) -> inspect.Signature:
+    """A layer constructor's signature, annotations resolved to types."""
+    return inspect.signature(cls, eval_str=True)
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # tanh form is stable for large |x| and stays in f32
     return np.float32(0.5) * (np.tanh(np.float32(0.5) * x) + np.float32(1.0))
 
 
 class Layer:
-    """Base layer; subclasses define forward/backward and an f64
-    reference forward used by the finite-difference oracle."""
+    """A layer is its constructor plus the methods below.  The signature
+    is the spec: each parameter is an int, float or bool attribute of the
+    same name, written name=value after `*`.  forward and backward see
+    only this layer's params and state, keyed by bare name ("weight")."""
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         return {}
@@ -83,9 +100,13 @@ class Layer:
     def init_values(self, seed: int, index: int) -> dict[str, np.ndarray]:
         return {}
 
+    def init_state(self) -> dict[str, np.ndarray]:
+        """Fresh f32 arrays that forward may update in place."""
+        return {}
+
     def forward(self, x: Tensor, params: dict[str, Tensor],
                 policy: PrecisionPolicy, rec: TapeEntry, train: bool,
-                state: dict[str, np.ndarray], prefix: str) -> Tensor:
+                state: dict[str, np.ndarray]) -> Tensor:
         raise NotImplementedError
 
     def backward(self, dy: Tensor, params: dict[str, Tensor],
@@ -93,27 +114,27 @@ class Layer:
                  ) -> tuple[Optional[Tensor], dict[str, Tensor]]:
         raise NotImplementedError
 
-    def forward_ref(self, x: np.ndarray, params: dict[str, np.ndarray]
-                    ) -> np.ndarray:
-        raise NotImplementedError
-
     def spec_string(self) -> str:
-        raise NotImplementedError
+        """The layer as configs and checkpoint manifests write it."""
+        args = []
+        for p in _signature(type(self)).parameters.values():
+            value = getattr(self, p.name)
+            text = str(value).lower() if isinstance(value, bool) else str(value)
+            args.append(f"{p.name}={text}" if p.kind is p.KEYWORD_ONLY else text)
+        kind = type(self).__name__
+        return f"{kind}({','.join(args)})" if args else kind
 
     def __repr__(self):
         return self.spec_string()
 
 
 class Linear(Layer):
-    def __init__(self, in_features: int, out_features: int, bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, *, bias: bool = True):
         if in_features < 1 or out_features < 1:
             raise ValueError("Linear dimensions must be positive")
         self.in_features = in_features
         self.out_features = out_features
         self.bias = bias
-
-    def spec_string(self):
-        return f"Linear({self.in_features},{self.out_features},bias={str(self.bias).lower()})"
 
     def param_shapes(self):
         shapes = {"weight": (self.in_features, self.out_features)}
@@ -122,15 +143,13 @@ class Linear(Layer):
         return shapes
 
     def init_values(self, seed, index):
-        std = 1.0 / np.sqrt(self.in_features)
-        vals = {"weight": T.random_normal(
-            (self.in_features, self.out_features), DType.F32, 0.0, std,
-            seed=seed, stream=(index << 8) | 0).data.copy()}
+        vals = {"weight": _normal((self.in_features, self.out_features),
+                                  self.in_features, seed, index)}
         if self.bias:
             vals["bias"] = np.zeros(self.out_features, dtype=np.float32)
         return vals
 
-    def forward(self, x, params, policy, rec, train, state, prefix):
+    def forward(self, x, params, policy, rec, train, state):
         if len(x.shape) != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"Linear expected [batch,{self.in_features}], got {x.shape}")
         rec.tensors["x"] = x
@@ -150,12 +169,6 @@ class Linear(Layer):
                           policy.compute_dtype)
         return dx, grads
 
-    def forward_ref(self, x, params):
-        y = x @ params["weight"]
-        if self.bias:
-            y = y + params["bias"][None, :]
-        return y
-
 
 class Conv2d(Layer):
     """2-d convolution via im2col + the ordered matmul.
@@ -165,7 +178,7 @@ class Conv2d(Layer):
     """
 
     def __init__(self, in_channels: int, out_channels: int, kh: int, kw: int,
-                 stride: int = 1, pad: int = 0):
+                 *, stride: int = 1, pad: int = 0):
         if min(in_channels, out_channels, kh, kw, stride) < 1 or pad < 0:
             raise ValueError("bad Conv2d geometry")
         self.in_channels = in_channels
@@ -175,20 +188,13 @@ class Conv2d(Layer):
         self.stride = stride
         self.pad = pad
 
-    def spec_string(self):
-        return (f"Conv2d({self.in_channels},{self.out_channels},{self.kh},"
-                f"{self.kw},stride={self.stride},pad={self.pad})")
-
     def param_shapes(self):
         return {"weight": (self.out_channels, self.in_channels, self.kh, self.kw),
                 "bias": (self.out_channels,)}
 
     def init_values(self, seed, index):
-        fan_in = self.in_channels * self.kh * self.kw
-        w = T.random_normal(self.param_shapes()["weight"], DType.F32, 0.0,
-                            1.0 / np.sqrt(fan_in), seed=seed,
-                            stream=(index << 8) | 0).data.copy()
-        return {"weight": w,
+        return {"weight": _normal(self.param_shapes()["weight"],
+                                  self.in_channels * self.kh * self.kw, seed, index),
                 "bias": np.zeros(self.out_channels, dtype=np.float32)}
 
     def _geometry(self, shape):
@@ -201,21 +207,18 @@ class Conv2d(Layer):
             raise ShapeError(f"Conv2d kernel does not fit input {shape}")
         return b, c, h, w, oh, ow
 
-    def _im2col_bits(self, data: np.ndarray, oh: int, ow: int) -> np.ndarray:
-        b, c, h, w = data.shape
+    def forward(self, x, params, policy, rec, train, state):
+        b, c, h, w, oh, ow = self._geometry(x.shape)
         p, s = self.pad, self.stride
-        padded = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=data.dtype)
-        padded[:, :, p:p + h, p:p + w] = data
-        cols = np.empty((b, oh, ow, c, self.kh, self.kw), dtype=data.dtype)
+        # im2col on the stored bits: rows (b, oh, ow), columns (c, kh, kw)
+        padded = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.data.dtype)
+        padded[:, :, p:p + h, p:p + w] = x.data
+        cols = np.empty((b, oh, ow, c, self.kh, self.kw), dtype=x.data.dtype)
         for i in range(self.kh):
             for j in range(self.kw):
                 patch = padded[:, :, i:i + oh * s:s, j:j + ow * s:s]
                 cols[:, :, :, :, i, j] = np.transpose(patch, (0, 2, 3, 1))
-        return cols.reshape(b * oh * ow, c * self.kh * self.kw)
-
-    def forward(self, x, params, policy, rec, train, state, prefix):
-        b, c, h, w, oh, ow = self._geometry(x.shape)
-        cols = self._im2col_bits(x.data, oh, ow)
+        cols = cols.reshape(b * oh * ow, c * self.kh * self.kw)
         cols_t = T.Tensor(cols.shape, x.dtype, cols)
         wmat = T.reshape(params["weight"],
                          (self.out_channels, c * self.kh * self.kw))
@@ -258,20 +261,9 @@ class Conv2d(Layer):
         dx = _store(dxp[:, :, p:p + h, p:p + w], policy)
         return dx, {"weight": dw, "bias": db}
 
-    def forward_ref(self, x, params):
-        b, c, h, w, oh, ow = self._geometry(x.shape)
-        cols = self._im2col_bits(x, oh, ow).astype(np.float64)
-        wmat = params["weight"].reshape(self.out_channels, -1)
-        y = cols @ wmat.T + params["bias"][None, :]
-        y = y.reshape(b, oh, ow, self.out_channels)
-        return np.transpose(y, (0, 3, 1, 2))
-
 
 class ReLU(Layer):
-    def spec_string(self):
-        return "ReLU"
-
-    def forward(self, x, params, policy, rec, train, state, prefix):
+    def forward(self, x, params, policy, rec, train, state):
         rec.tensors["x"] = x
         return _store(np.maximum(x.widen(), np.float32(0)), policy)
 
@@ -280,18 +272,12 @@ class ReLU(Layer):
         dx = _store(np.where(mask, dy.widen(), np.float32(0)), policy)
         return dx, {}
 
-    def forward_ref(self, x, params):
-        return np.maximum(x, 0.0)
-
 
 class LeakyReLU(Layer):
     def __init__(self, slope: float = 0.01):
         self.slope = float(slope)
 
-    def spec_string(self):
-        return f"LeakyReLU({self.slope})"
-
-    def forward(self, x, params, policy, rec, train, state, prefix):
+    def forward(self, x, params, policy, rec, train, state):
         rec.tensors["x"] = x
         xw = x.widen()
         return _store(np.where(xw > 0, xw, np.float32(self.slope) * xw), policy)
@@ -301,15 +287,9 @@ class LeakyReLU(Layer):
         g = np.where(xw > 0, np.float32(1.0), np.float32(self.slope))
         return _store(dy.widen() * g, policy), {}
 
-    def forward_ref(self, x, params):
-        return np.where(x > 0, x, self.slope * x)
-
 
 class Tanh(Layer):
-    def spec_string(self):
-        return "Tanh"
-
-    def forward(self, x, params, policy, rec, train, state, prefix):
+    def forward(self, x, params, policy, rec, train, state):
         y = _store(np.tanh(x.widen()), policy)
         rec.tensors["y"] = y
         return y
@@ -318,15 +298,9 @@ class Tanh(Layer):
         yw = rec.tensors["y"].widen()  # derivative from the stored value
         return _store(dy.widen() * (np.float32(1.0) - yw * yw), policy), {}
 
-    def forward_ref(self, x, params):
-        return np.tanh(x)
-
 
 class Sigmoid(Layer):
-    def spec_string(self):
-        return "Sigmoid"
-
-    def forward(self, x, params, policy, rec, train, state, prefix):
+    def forward(self, x, params, policy, rec, train, state):
         y = _store(_sigmoid(x.widen()), policy)
         rec.tensors["y"] = y
         return y
@@ -334,9 +308,6 @@ class Sigmoid(Layer):
     def backward(self, dy, params, policy, rec, want_dx=True):
         yw = rec.tensors["y"].widen()
         return _store(dy.widen() * yw * (np.float32(1.0) - yw), policy), {}
-
-    def forward_ref(self, x, params):
-        return 1.0 / (1.0 + np.exp(-x))
 
 
 class BatchNorm(Layer):
@@ -346,7 +317,8 @@ class BatchNorm(Layer):
     weighting the fresh batch statistic.
     """
 
-    def __init__(self, features: int, momentum: float = 0.1, epsilon: float = 1e-5):
+    def __init__(self, features: int, *, momentum: float = 0.1,
+                 epsilon: float = 1e-5):
         if features < 1:
             raise ValueError("features must be positive")
         if not 0 < momentum <= 1:
@@ -357,9 +329,6 @@ class BatchNorm(Layer):
         self.momentum = float(momentum)
         self.epsilon = float(epsilon)
 
-    def spec_string(self):
-        return f"BatchNorm({self.features},momentum={self.momentum},epsilon={self.epsilon})"
-
     def param_shapes(self):
         return {"gamma": (self.features,), "beta": (self.features,)}
 
@@ -367,7 +336,11 @@ class BatchNorm(Layer):
         return {"gamma": np.ones(self.features, dtype=np.float32),
                 "beta": np.zeros(self.features, dtype=np.float32)}
 
-    def forward(self, x, params, policy, rec, train, state, prefix):
+    def init_state(self):
+        return {"running_mean": np.zeros(self.features, np.float32),
+                "running_var": np.ones(self.features, np.float32)}
+
+    def forward(self, x, params, policy, rec, train, state):
         if len(x.shape) != 2 or x.shape[1] != self.features:
             raise ShapeError(f"BatchNorm expected [batch,{self.features}], got {x.shape}")
         xw = x.widen()
@@ -376,13 +349,11 @@ class BatchNorm(Layer):
             mean = T.seq_sum(xw, axis=0) / np.float32(b)
             centered = xw - mean[None, :]
             var = T.seq_sum(centered * centered, axis=0) / np.float32(b)
-            rmk, rvk = prefix + "running_mean", prefix + "running_var"
             mom = np.float32(self.momentum)
-            state[rmk] = (np.float32(1) - mom) * state[rmk] + mom * mean
-            state[rvk] = (np.float32(1) - mom) * state[rvk] + mom * var
+            for run, stat in ((state["running_mean"], mean), (state["running_var"], var)):
+                run[...] = (np.float32(1) - mom) * run + mom * stat  # model.state's array
         else:
-            mean = state[prefix + "running_mean"]
-            var = state[prefix + "running_var"]
+            mean, var = state["running_mean"], state["running_var"]
             centered = xw - mean[None, :]
         invstd = np.float32(1.0) / np.sqrt(var + np.float32(self.epsilon))
         xhat = centered * invstd[None, :]
@@ -411,12 +382,6 @@ class BatchNorm(Layer):
                  "beta": T.store(dbeta, policy.compute_dtype)}
         return _store(dx, policy), grads
 
-    def forward_ref(self, x, params):
-        mean = x.mean(axis=0)
-        var = ((x - mean) ** 2).mean(axis=0)
-        xhat = (x - mean) / np.sqrt(var + self.epsilon)
-        return params["gamma"][None, :] * xhat + params["beta"][None, :]
-
 
 class LSTMCell(Layer):
     """Standard LSTM cell unrolled over [batch, time, features] input;
@@ -429,30 +394,18 @@ class LSTMCell(Layer):
         self.in_features = in_features
         self.hidden = hidden
 
-    def spec_string(self):
-        return f"LSTMCell({self.in_features},{self.hidden})"
-
     def param_shapes(self):
         return {"w_ih": (self.in_features, 4 * self.hidden),
                 "w_hh": (self.hidden, 4 * self.hidden),
                 "bias": (4 * self.hidden,)}
 
     def init_values(self, seed, index):
-        return {
-            "w_ih": T.random_normal(self.param_shapes()["w_ih"], DType.F32,
-                                    0.0, 1.0 / np.sqrt(self.in_features),
-                                    seed=seed, stream=(index << 8) | 0).data.copy(),
-            "w_hh": T.random_normal(self.param_shapes()["w_hh"], DType.F32,
-                                    0.0, 1.0 / np.sqrt(self.hidden),
-                                    seed=seed, stream=(index << 8) | 1).data.copy(),
-            "bias": np.zeros(4 * self.hidden, dtype=np.float32),
-        }
+        shapes = self.param_shapes()
+        return {"w_ih": _normal(shapes["w_ih"], self.in_features, seed, index, 0),
+                "w_hh": _normal(shapes["w_hh"], self.hidden, seed, index, 1),
+                "bias": np.zeros(4 * self.hidden, dtype=np.float32)}
 
-    def _split(self, z):
-        h = self.hidden
-        return z[:, :h], z[:, h:2 * h], z[:, 2 * h:3 * h], z[:, 3 * h:]
-
-    def forward(self, x, params, policy, rec, train, state, prefix):
+    def forward(self, x, params, policy, rec, train, state):
         if len(x.shape) != 3 or x.shape[2] != self.in_features:
             raise ShapeError(f"LSTMCell expected [batch,time,{self.in_features}], got {x.shape}")
         b, steps, _ = x.shape
@@ -465,7 +418,7 @@ class LSTMCell(Layer):
             z = (T.matmul(x_t, params["w_ih"], policy.accum, DType.F32).data
                  + T.matmul(h_t, params["w_hh"], policy.accum, DType.F32).data
                  + bias)
-            zi, zf, zg, zo = self._split(z)
+            zi, zf, zg, zo = np.split(z, 4, axis=1)
             gi = _store(_sigmoid(zi), policy)
             gf = _store(_sigmoid(zf), policy)
             gg = _store(np.tanh(zg), policy)
@@ -532,21 +485,6 @@ class LSTMCell(Layer):
                  "bias": T.store(db, policy.compute_dtype)}
         return dx, grads
 
-    def forward_ref(self, x, params):
-        b, steps, _ = x.shape
-        h = np.zeros((b, self.hidden), dtype=np.float64)
-        c = np.zeros((b, self.hidden), dtype=np.float64)
-        for t in range(steps):
-            z = x[:, t] @ params["w_ih"] + h @ params["w_hh"] + params["bias"]
-            zi, zf, zg, zo = self._split(z)
-            gi = 1.0 / (1.0 + np.exp(-zi))
-            gf = 1.0 / (1.0 + np.exp(-zf))
-            gg = np.tanh(zg)
-            go = 1.0 / (1.0 + np.exp(-zo))
-            c = gf * c + gi * gg
-            h = go * np.tanh(c)
-        return h
-
 
 class LabelError(ValueError):
     """Class labels outside the range the model's output width allows."""
@@ -559,33 +497,20 @@ class LossLayer(Layer):
     def loss_grad(self, seed: float, policy, rec: TapeEntry) -> Tensor:
         raise NotImplementedError
 
-    def loss_ref(self, pred: np.ndarray, targets) -> float:
-        raise NotImplementedError
-
 
 class SoftmaxCrossEntropy(LossLayer):
     """Mean cross entropy over the batch; exp/log and the row sums run
     in f32, probabilities live on the tape as f32 side-band only."""
 
-    def spec_string(self):
-        return "SoftmaxCrossEntropy"
-
-    @staticmethod
-    def _labels(targets, classes: int) -> np.ndarray:
-        if isinstance(targets, Tensor):
-            labels = targets.widen().astype(np.int64).reshape(-1)
-        else:
-            labels = np.asarray(targets, dtype=np.int64).reshape(-1)
-        if labels.min() < 0 or labels.max() >= classes:
-            raise LabelError(f"labels must lie in [0, {classes}), got "
-                             f"[{labels.min()}, {labels.max()}]")
-        return labels
-
     def loss(self, pred, targets, policy, rec):
         zw = pred.widen()
         if zw.ndim != 2:
             raise ShapeError(f"SoftmaxCrossEntropy expected [batch,classes], got {zw.shape}")
-        labels = self._labels(targets, zw.shape[1])
+        labels = (targets.widen() if isinstance(targets, Tensor)
+                  else np.asarray(targets)).astype(np.int64).reshape(-1)
+        if labels.min() < 0 or labels.max() >= zw.shape[1]:
+            raise LabelError(f"labels must lie in [0, {zw.shape[1]}), got "
+                             f"[{labels.min()}, {labels.max()}]")
         if zw.shape[0] != labels.shape[0]:
             raise ShapeError(f"SoftmaxCrossEntropy got {labels.size} labels for {zw.shape[0]} rows")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -608,19 +533,9 @@ class SoftmaxCrossEntropy(LossLayer):
         g *= np.float32(seed) / np.float32(b)
         return _store(g, policy)
 
-    def loss_ref(self, pred, targets):
-        labels = self._labels(targets, pred.shape[1])
-        m = pred.max(axis=1, keepdims=True)
-        e = np.exp(pred - m)
-        logsum = np.log(e.sum(axis=1)) + m[:, 0]
-        return float(np.mean(logsum - pred[np.arange(pred.shape[0]), labels]))
-
 
 class MeanSquaredError(LossLayer):
     """Mean of squared residuals over every element."""
-
-    def spec_string(self):
-        return "MeanSquaredError"
 
     def loss(self, pred, targets, policy, rec):
         tw = targets.widen() if isinstance(targets, Tensor) else np.asarray(
@@ -639,11 +554,6 @@ class MeanSquaredError(LossLayer):
         g = diff * (np.float32(2.0) * np.float32(seed) / np.float32(diff.size))
         return _store(g, policy)
 
-    def loss_ref(self, pred, targets):
-        tw = targets.widen().astype(np.float64) if isinstance(targets, Tensor) \
-            else np.asarray(targets, dtype=np.float64)
-        return float(np.mean((pred - tw) ** 2))
-
 
 class Model:
     """Layer stack plus the current parameter bindings and f32 state."""
@@ -656,25 +566,13 @@ class Model:
                 raise ValueError("loss layer must be last")
         self.layers = layers
         self.params: dict[str, Tensor] = {}
-        self.state: dict[str, np.ndarray] = {}
-        for i, lay in enumerate(layers):
-            if isinstance(lay, BatchNorm):
-                self.state[f"{i}.running_mean"] = np.zeros(lay.features, np.float32)
-                self.state[f"{i}.running_var"] = np.ones(lay.features, np.float32)
+        self.state: dict[str, np.ndarray] = _keyed(lay.init_state() for lay in layers)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        shapes = {}
-        for i, lay in enumerate(self.layers):
-            for name, shp in lay.param_shapes().items():
-                shapes[f"{i}.{name}"] = shp
-        return shapes
+        return _keyed(lay.param_shapes() for lay in self.layers)
 
     def init_values(self, seed: int) -> dict[str, np.ndarray]:
-        vals = {}
-        for i, lay in enumerate(self.layers):
-            for name, arr in lay.init_values(seed, i).items():
-                vals[f"{i}.{name}"] = arr
-        return vals
+        return _keyed(lay.init_values(seed, i) for i, lay in enumerate(self.layers))
 
     def bind_f32(self, values: dict[str, np.ndarray]) -> None:
         for key, arr in values.items():
@@ -740,15 +638,20 @@ def _run_layers(model: Model, x: Tensor, policy: PrecisionPolicy, train: bool
     for i, lay in enumerate(model.layers[:-1]):
         rec = TapeEntry()
         x = lay.forward(x, _layer_params(model.params, i), policy, rec, train,
-                        model.state, f"{i}.")
+                        _layer_params(model.state, i))
         entries.append(rec)
     return x, entries
 
 
-def _layer_params(params: dict, i: int) -> dict:
-    """The entries of params keyed "<i>.<name>", keyed by name."""
+def _keyed(per_layer) -> dict:
+    """One {name: value} dict per layer, merged under "<i>.<name>" keys."""
+    return {f"{i}.{name}": v for i, d in enumerate(per_layer) for name, v in d.items()}
+
+
+def _layer_params(entries: dict, i: int) -> dict:
+    """The entries keyed "<i>.<name>", keyed by name."""
     prefix = f"{i}."
-    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+    return {k[len(prefix):]: v for k, v in entries.items() if k.startswith(prefix)}
 
 
 def predictions(model: Model, inputs: Tensor, policy: PrecisionPolicy
@@ -757,74 +660,25 @@ def predictions(model: Model, inputs: Tensor, policy: PrecisionPolicy
     return _run_layers(model, inputs, policy, train=False)[0].widen()
 
 
-def loss_ref_f64(model: Model, values: dict[str, np.ndarray], inputs: np.ndarray,
-                 targets) -> float:
-    """Float64 reference loss used by the finite-difference oracle."""
-    x = inputs.astype(np.float64)
-    for i, lay in enumerate(model.layers[:-1]):
-        x = lay.forward_ref(x, {k: np.asarray(v, dtype=np.float64)
-                                for k, v in _layer_params(values, i).items()})
-    return model.layers[-1].loss_ref(x, targets)
-
-
-def grad_check(model: Model, inputs: Tensor, targets, epsilon: float = 1e-5
-               ) -> float:
-    """Worst relative error between analytic gradients (f32 baseline
-    policy) and central differences of the f64 reference loss."""
-    policy = F32_POLICY
-    x32 = T.cast(inputs, DType.F32)
-    _, tape = forward(model, x32, targets, policy, train=True)
-    grads = backward(model, tape, 1.0)
-
-    values = {k: v.widen().astype(np.float64) for k, v in model.params.items()}
-    x64 = x32.widen().astype(np.float64)
-
-    worst = 0.0
-    for key, analytic in grads.weights.items():
-        a = analytic.widen().reshape(-1)
-        base = values[key]
-        flat = base.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + epsilon
-            up = loss_ref_f64(model, values, x64, targets)
-            flat[idx] = orig - epsilon
-            down = loss_ref_f64(model, values, x64, targets)
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            denom = max(abs(float(a[idx])), abs(numeric), 1e-8)
-            worst = max(worst, abs(float(a[idx]) - numeric) / denom)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Layer spec strings: "Linear(784,256,bias=true)" etc., used by configs
 # and checkpoint manifests.
 # ---------------------------------------------------------------------------
 
-_LAYER_KINDS = {
-    "Linear": Linear, "Conv2d": Conv2d, "ReLU": ReLU, "LeakyReLU": LeakyReLU,
-    "Tanh": Tanh, "Sigmoid": Sigmoid, "BatchNorm": BatchNorm,
-    "LSTMCell": LSTMCell, "SoftmaxCrossEntropy": SoftmaxCrossEntropy,
-    "MeanSquaredError": MeanSquaredError,
-}
+_LAYER_KINDS = {cls.__name__: cls for cls in (
+    Linear, Conv2d, ReLU, LeakyReLU, Tanh, Sigmoid, BatchNorm, LSTMCell,
+    SoftmaxCrossEntropy, MeanSquaredError)}
 
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 
 
-def _parse_arg(text: str):
+def _spec_arg(name: str, kind: type, text: str):
+    """One spec argument as its annotated type, or a TypeError like bind's."""
     text = text.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"cannot parse layer argument {text!r}") from None
+        return {"true": True, "false": False}[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise TypeError(f"{name} expects {kind.__name__}, got {text!r}") from None
 
 
 def layer_from_spec(text: str) -> Layer:
@@ -839,13 +693,18 @@ def layer_from_spec(text: str) -> Layer:
         for piece in argtext.split(","):
             if "=" in piece:
                 key, val = piece.split("=", 1)
-                kwargs[key.strip()] = _parse_arg(val)
+                kwargs[key.strip()] = val
             else:
-                args.append(_parse_arg(piece))
+                args.append(piece)
+    cls = _LAYER_KINDS[kind]
+    sig = _signature(cls)
     try:
-        return _LAYER_KINDS[kind](*args, **kwargs)
+        bound = sig.bind(*args, **kwargs)
+        for name, raw in bound.arguments.items():
+            bound.arguments[name] = _spec_arg(name, sig.parameters[name].annotation, raw)
     except TypeError as e:
         raise ValueError(f"bad arguments in layer spec {text!r}: {e}") from None
+    return cls(*bound.args, **bound.kwargs)
 
 
 def model_from_specs(specs: list[str]) -> Model:

@@ -1,13 +1,21 @@
 """Independent reference implementations used only by the test suite.
 
-Everything here works in exact rational arithmetic (fractions.Fraction),
-so it shares no code path with the package under test.
+The binary16 oracles work in exact rational arithmetic
+(fractions.Fraction).  The layer oracle is a float64 forward per layer
+kind, written from each layer's definition, and the finite-difference
+gradient check built on it.  Neither shares a code path with the
+package under test.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from mptrain import nn
+from mptrain import tensor as T
 
 HALF_POS_INF = 0x7C00
 HALF_NEG_INF = 0xFC00
@@ -155,3 +163,118 @@ def exact_dot(a_vals, b_vals) -> Fraction:
     for x, y in zip(a_vals, b_vals):
         acc += Fraction(x) * Fraction(y)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Float64 reference forward and the finite-difference gradient check.
+# ---------------------------------------------------------------------------
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _linear(lay, x, p):
+    y = x @ p["weight"]
+    return y + p["bias"] if lay.bias else y
+
+
+def _conv2d(lay, x, p):
+    """Direct convolution, one kernel tap (i, j) at a time."""
+    s, pad = lay.stride, lay.pad
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh = (xp.shape[2] - lay.kh) // s + 1
+    ow = (xp.shape[3] - lay.kw) // s + 1
+    y = np.zeros((x.shape[0], lay.out_channels, oh, ow)) + p["bias"][:, None, None]
+    for i in range(lay.kh):
+        for j in range(lay.kw):
+            tap = xp[:, :, i:i + (oh - 1) * s + 1:s, j:j + (ow - 1) * s + 1:s]
+            y += np.einsum("bchw,oc->bohw", tap, p["weight"][:, :, i, j])
+    return y
+
+
+def _batchnorm(lay, x, p):
+    mean = x.mean(axis=0)
+    var = ((x - mean) ** 2).mean(axis=0)
+    return p["gamma"] * (x - mean) / np.sqrt(var + lay.epsilon) + p["beta"]
+
+
+def _lstm_cell(lay, x, p):
+    h = np.zeros((x.shape[0], lay.hidden))
+    c = np.zeros_like(h)
+    for t in range(x.shape[1]):
+        z = x[:, t] @ p["w_ih"] + h @ p["w_hh"] + p["bias"]
+        zi, zf, zg, zo = np.split(z, 4, axis=1)
+        c = _sigmoid(zf) * c + _sigmoid(zi) * np.tanh(zg)
+        h = _sigmoid(zo) * np.tanh(c)
+    return h
+
+
+_FORWARD_F64 = {
+    nn.Linear: _linear,
+    nn.Conv2d: _conv2d,
+    nn.ReLU: lambda lay, x, p: np.maximum(x, 0.0),
+    nn.LeakyReLU: lambda lay, x, p: np.where(x > 0, x, lay.slope * x),
+    nn.Tanh: lambda lay, x, p: np.tanh(x),
+    nn.Sigmoid: lambda lay, x, p: _sigmoid(x),
+    nn.BatchNorm: _batchnorm,
+    nn.LSTMCell: _lstm_cell,
+}
+
+
+def _f64(targets) -> np.ndarray:
+    if isinstance(targets, T.Tensor):
+        return targets.widen().astype(np.float64)
+    return np.asarray(targets, dtype=np.float64)
+
+
+def _softmax_cross_entropy(pred, targets) -> float:
+    labels = _f64(targets).astype(np.int64).reshape(-1)
+    m = pred.max(axis=1, keepdims=True)
+    logsum = np.log(np.exp(pred - m).sum(axis=1)) + m[:, 0]
+    return float(np.mean(logsum - pred[np.arange(pred.shape[0]), labels]))
+
+
+_LOSS_F64 = {
+    nn.SoftmaxCrossEntropy: _softmax_cross_entropy,
+    nn.MeanSquaredError: lambda pred, targets: float(np.mean((pred - _f64(targets)) ** 2)),
+}
+
+
+def loss_ref_f64(model: nn.Model, values: dict[str, np.ndarray],
+                 inputs: np.ndarray, targets) -> float:
+    """The model's loss in float64 at `values`, keyed like model.params."""
+    x = np.asarray(inputs, dtype=np.float64)
+    for i, lay in enumerate(model.layers[:-1]):
+        prefix = f"{i}."
+        params = {k[len(prefix):]: np.asarray(v, dtype=np.float64)
+                  for k, v in values.items() if k.startswith(prefix)}
+        x = _FORWARD_F64[type(lay)](lay, x, params)
+    return _LOSS_F64[type(model.layers[-1])](x, targets)
+
+
+def grad_check(model: nn.Model, inputs: T.Tensor, targets,
+               epsilon: float = 1e-5) -> float:
+    """Worst relative error between analytic gradients (f32 baseline
+    policy) and central differences of the f64 reference loss."""
+    x32 = T.cast(inputs, T.DType.F32)
+    _, tape = nn.forward(model, x32, targets, nn.F32_POLICY, train=True)
+    grads = nn.backward(model, tape, 1.0)
+
+    values = {k: v.widen().astype(np.float64) for k, v in model.params.items()}
+    x64 = x32.widen().astype(np.float64)
+
+    worst = 0.0
+    for key, analytic in grads.weights.items():
+        a = analytic.widen().reshape(-1)
+        flat = values[key].reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + epsilon
+            up = loss_ref_f64(model, values, x64, targets)
+            flat[idx] = orig - epsilon
+            down = loss_ref_f64(model, values, x64, targets)
+            flat[idx] = orig
+            numeric = (up - down) / (2.0 * epsilon)
+            denom = max(abs(float(a[idx])), abs(numeric), 1e-8)
+            worst = max(worst, abs(float(a[idx]) - numeric) / denom)
+    return worst

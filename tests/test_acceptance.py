@@ -402,7 +402,7 @@ def test_criterion_09_gradient_correctness():
     ff.bind_f32(ff.init_values(9))
     x = T.store(rng.normal(0, 1, (6, 4)).astype(np.float32), DType.F32)
     labels = rng.integers(0, 2, 6)
-    err = nn.grad_check(ff, x, labels)
+    err = oracles.grad_check(ff, x, labels)
     assert err < 1e-4, f"feedforward max relative error {err:.2e}"
 
     conv = nn.Model([nn.Conv2d(2, 3, 3, 3, stride=1, pad=1), nn.LeakyReLU(0.1),
@@ -410,7 +410,7 @@ def test_criterion_09_gradient_correctness():
     conv.bind_f32(conv.init_values(10))
     cx = T.store(rng.normal(0, 1, (2, 2, 5, 5)).astype(np.float32), DType.F32)
     ct = T.store(rng.normal(0, 1, (2, 3, 5, 5)).astype(np.float32), DType.F32)
-    err = nn.grad_check(conv, cx, ct)
+    err = oracles.grad_check(conv, cx, ct)
     assert err < 1e-4, f"conv max relative error {err:.2e}"
 
     lstm = nn.Model([nn.LSTMCell(3, 4), nn.Linear(4, 2),
@@ -418,7 +418,7 @@ def test_criterion_09_gradient_correctness():
     lstm.bind_f32(lstm.init_values(11))
     sx = T.store(rng.normal(0, 1, (5, 3, 3)).astype(np.float32), DType.F32)
     slabels = rng.integers(0, 2, 5)
-    err = nn.grad_check(lstm, sx, slabels)
+    err = oracles.grad_check(lstm, sx, slabels)
     assert err < 1e-3, f"3-step LSTM max relative error {err:.2e}"
 
 

@@ -436,15 +436,18 @@ def _checkpoint_without_parameters(tmp):
     return ["histogram", str(tmp / "n.ckpt")]
 
 
-def _checkpoint(tmp, name, entries):
-    """A checkpoint of Linear(4,3,bias=true) holding the given tensors."""
-    manifest = ["MPCKPT 1", "layer.0 = Linear(4,3,bias=true)",
-                "layer.1 = MeanSquaredError"]
+def _checkpoint(tmp, name, entries, layers=("Linear(4,3,bias=true)",), f16=()):
+    """A checkpoint of `layers` plus MeanSquaredError, holding tensors of
+    ones of the given shapes, F32 except the entries named in f16."""
+    manifest = ["MPCKPT 1"]
+    manifest += [f"layer.{i} = {spec}"
+                 for i, spec in enumerate(layers + ("MeanSquaredError",))]
     manifest += [f"entry.{i} = {key}" for i, (key, _) in enumerate(entries)]
     with open(tmp / name, "wb") as fh:
         fh.write(("\n".join(manifest + ["END"]) + "\n").encode())
-        for _, shape in entries:
-            T.write_tensor(fh, T.store(np.zeros(shape, np.float32), T.DType.F32))
+        for key, shape in entries:
+            dtype = T.DType.F16 if key in f16 else T.DType.F32
+            T.write_tensor(fh, T.store(np.ones(shape, np.float32), dtype))
     return ["histogram", str(tmp / name)]
 
 
@@ -461,6 +464,24 @@ def _checkpoint_momentum_of_wrong_shape(tmp):
     return _checkpoint(tmp, "m.ckpt", [("param.0.weight", (4, 3)),
                                        ("param.0.bias", (3,)),
                                        ("momentum.0.weight", (3, 4))])
+
+
+def _checkpoint_momentum_in_f16(tmp):
+    return _checkpoint(tmp, "m16.ckpt", [("param.0.weight", (4, 3)),
+                                         ("param.0.bias", (3,)),
+                                         ("momentum.0.weight", (4, 3))],
+                       f16={"momentum.0.weight"})
+
+
+def _checkpoint_state_in_f16(tmp):
+    return _checkpoint(tmp, "s16.ckpt", [("param.0.weight", (4, 3)),
+                                         ("param.0.bias", (3,)),
+                                         ("param.1.gamma", (3,)),
+                                         ("param.1.beta", (3,)),
+                                         ("state.1.running_mean", (3,)),
+                                         ("state.1.running_var", (3,))],
+                       layers=("Linear(4,3,bias=true)", "BatchNorm(3)"),
+                       f16={"state.1.running_mean"})
 
 
 def _batchnorm_checkpoint(tmp, name, change_state):
@@ -493,14 +514,39 @@ def _non_numeric_cell(tmp):
     return ["plot", str(tmp / "e.csv"), "-o", str(tmp / "e.svg")]
 
 
+def _mnist_config(tmp, data):
+    (tmp / "m.cfg").write_text(f"[run]\ntask = mnist\noutput_dir = {tmp / 'out'}\n"
+                               f"data_dir = {data}\n")
+    return ["train", str(tmp / "m.cfg")]
+
+
 def _idx_dims_cut_short(tmp):
     data = tmp / "data"
     data.mkdir()
     (data / "train-images-idx3-ubyte").write_bytes(
         struct.pack(">II", io_cli.IDX_IMAGES_MAGIC, 5))
-    (tmp / "m.cfg").write_text(f"[run]\ntask = mnist\noutput_dir = {tmp / 'out'}\n"
-                               f"data_dir = {data}\n")
-    return ["train", str(tmp / "m.cfg")]
+    return _mnist_config(tmp, data)
+
+
+def _idx_pairs(tmp, train_images, val_images):
+    """IDX files for the mnist task, every label 0."""
+    data = tmp / "data"
+    data.mkdir()
+    for split, images in (("train", train_images), ("t10k", val_images)):
+        io_cli.write_idx_images(data / f"{split}-images-idx3-ubyte", images)
+        io_cli.write_idx_labels(data / f"{split}-labels-idx1-ubyte",
+                                np.zeros(images.shape[0], np.uint8))
+    return _mnist_config(tmp, data)
+
+
+def _idx_without_images(tmp):
+    return _idx_pairs(tmp, np.zeros((4, 28, 28), np.uint8),
+                      np.zeros((0, 28, 28), np.uint8))
+
+
+def _idx_images_of_height_0(tmp):
+    return _idx_pairs(tmp, np.zeros((4, 0, 28), np.uint8),
+                      np.zeros((4, 28, 28), np.uint8))
 
 
 @pytest.mark.parametrize("make_argv", [
@@ -508,7 +554,9 @@ def _idx_dims_cut_short(tmp):
     _checkpoint_without_parameters, _checkpoint_weight_of_wrong_shape,
     _checkpoint_missing_bias, _checkpoint_momentum_of_wrong_shape,
     _checkpoint_state_of_wrong_shape, _checkpoint_missing_state,
-    _checkpoint_extra_state, _non_numeric_cell, _idx_dims_cut_short])
+    _checkpoint_extra_state, _checkpoint_momentum_in_f16, _checkpoint_state_in_f16,
+    _non_numeric_cell, _idx_dims_cut_short, _idx_without_images,
+    _idx_images_of_height_0])
 def test_cli_malformed_file_exits_2_with_one_line(make_argv, tmp_path, capsys):
     assert io_cli.main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -546,6 +594,11 @@ def test_cli_init_override_of_wrong_shape_exits_1(tmp_path, capsys):
     ("model.layers", "Linear(16); SoftmaxCrossEntropy", "field model.layers"),
     ("model.layers", "Linear(16,4,foo=1); SoftmaxCrossEntropy", "field model.layers"),
     ("model.layers", "ReLU(3); Linear(16,4); SoftmaxCrossEntropy", "field model.layers"),
+    ("model.layers", "Linear(16,4,bias=0.5); SoftmaxCrossEntropy", "field model.layers"),
+    ("model.layers", "Linear(16.5,4); SoftmaxCrossEntropy", "field model.layers"),
+    ("model.layers", "LeakyReLU(true); Linear(16,4); SoftmaxCrossEntropy",
+     "field model.layers"),
+    ("model.layers", "Linear(16,4,true); SoftmaxCrossEntropy", "field model.layers"),
     ("run.seed", "-1", "run.seed"),
     ("run.seed", "18446744073709551616", "run.seed"),
 ])

@@ -6,6 +6,8 @@ from mptrain import nn
 from mptrain import tensor as T
 from mptrain.tensor import AccumMode, DType
 
+import oracles
+
 
 def f32_ulp_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     def key(x):
@@ -194,7 +196,7 @@ def test_grad_check_feedforward():
     rng = np.random.default_rng(7)
     x = T.store(rng.normal(0, 1, (5, 4)).astype(np.float32), DType.F32)
     labels = rng.integers(0, 2, 5)
-    err = nn.grad_check(model, x, labels)
+    err = oracles.grad_check(model, x, labels)
     assert err < 1e-4
 
 
@@ -207,7 +209,7 @@ def test_grad_check_batchnorm_mse():
     rng = np.random.default_rng(8)
     x = T.store(rng.normal(0, 1, (6, 3)).astype(np.float32), DType.F32)
     target = T.store(rng.normal(0, 1, (6, 2)).astype(np.float32), DType.F32)
-    err = nn.grad_check(model, x, target)
+    err = oracles.grad_check(model, x, target)
     assert err < 1e-4
 
 
@@ -218,7 +220,7 @@ def test_grad_check_conv2d():
     rng = np.random.default_rng(9)
     x = T.store(rng.normal(0, 1, (2, 2, 4, 4)).astype(np.float32), DType.F32)
     target = T.store(rng.normal(0, 1, (2, 3, 5, 5)).astype(np.float32), DType.F32)
-    err = nn.grad_check(model, x, target)
+    err = oracles.grad_check(model, x, target)
     assert err < 1e-4
 
 
@@ -229,7 +231,7 @@ def test_grad_check_lstm_three_steps():
     rng = np.random.default_rng(10)
     x = T.store(rng.normal(0, 1, (5, 3, 3)).astype(np.float32), DType.F32)
     labels = rng.integers(0, 2, 5)
-    err = nn.grad_check(model, x, labels)
+    err = oracles.grad_check(model, x, labels)
     assert err < 1e-3
 
 
@@ -238,7 +240,7 @@ def test_grad_check_zero_model():
     model.bind_f32({"0.weight": np.zeros((3, 2), dtype=np.float32)})
     x = T.zeros([4, 3], DType.F32)
     target = T.zeros([4, 2], DType.F32)
-    err = nn.grad_check(model, x, target)
+    err = oracles.grad_check(model, x, target)
     assert err < 1e-6
 
 
@@ -287,6 +289,36 @@ def test_model_validation_and_spec_parsing():
         nn.layer_from_spec("Linear(a,b)")
 
 
+# Spec strings go into checkpoint manifests byte for byte.
+SPEC_STRINGS = [
+    (nn.Linear(3, 2), "Linear(3,2,bias=true)"),
+    (nn.Linear(3, 2, bias=False), "Linear(3,2,bias=false)"),
+    (nn.Conv2d(1, 2, 3, 3), "Conv2d(1,2,3,3,stride=1,pad=0)"),
+    (nn.Conv2d(3, 8, 3, 3, stride=2, pad=1), "Conv2d(3,8,3,3,stride=2,pad=1)"),
+    (nn.ReLU(), "ReLU"),
+    (nn.LeakyReLU(), "LeakyReLU(0.01)"),
+    (nn.LeakyReLU(0.2), "LeakyReLU(0.2)"),
+    (nn.Tanh(), "Tanh"),
+    (nn.Sigmoid(), "Sigmoid"),
+    (nn.BatchNorm(3), "BatchNorm(3,momentum=0.1,epsilon=1e-05)"),
+    (nn.BatchNorm(3, momentum=0.5, epsilon=0.001),
+     "BatchNorm(3,momentum=0.5,epsilon=0.001)"),
+    (nn.LSTMCell(28, 8), "LSTMCell(28,8)"),
+    (nn.SoftmaxCrossEntropy(), "SoftmaxCrossEntropy"),
+    (nn.MeanSquaredError(), "MeanSquaredError"),
+]
+
+
+@pytest.mark.parametrize("layer,spec", SPEC_STRINGS, ids=[s for _, s in SPEC_STRINGS])
+def test_spec_string_of_every_layer_kind(layer, spec):
+    assert layer.spec_string() == spec
+    assert nn.layer_from_spec(spec).spec_string() == spec
+
+
+def test_spec_strings_cover_every_layer_kind():
+    assert {type(layer) for layer, _ in SPEC_STRINGS} == set(nn._LAYER_KINDS.values())
+
+
 def test_predictions_shape_and_eval_mode():
     model = simple_mlp(seed=12)
     x = T.store(np.random.default_rng(12).normal(0, 1, (9, 4)).astype(np.float32),
@@ -333,5 +365,3 @@ def test_softmax_rejects_labels_outside_class_range(bad):
                                   nn.TapeEntry()))
     with pytest.raises(ValueError, match=r"\[0, 2\)"):
         layer.loss(pred, np.array([0, bad]), nn.F32_POLICY, nn.TapeEntry())
-    with pytest.raises(ValueError, match=r"\[0, 2\)"):
-        layer.loss_ref(pred.widen().astype(np.float64), np.array([bad, 1]))
