@@ -201,11 +201,16 @@ def from_f32_array(x: np.ndarray) -> np.ndarray:
 def to_f32_array(bits: np.ndarray) -> np.ndarray:
     """Vectorized to_f32: uint16 pattern array -> float32 array (exact)."""
     h = np.asarray(bits, dtype=np.uint16).view(np.float16)
-    out = h.astype(np.float32)
-    nan_mask = np.isnan(out)
+    return canonicalize_f32_nans(h.astype(np.float32))
+
+
+def canonicalize_f32_nans(x: np.ndarray) -> np.ndarray:
+    """Overwrite every NaN of the float32 array x, in place, with the
+    canonical quiet NaN 0x7FC00000; returns x."""
+    nan_mask = np.isnan(x)
     if nan_mask.any():
-        out[nan_mask] = np.uint32(_F32_NAN_BITS).view(np.float32)
-    return out
+        x[nan_mask] = np.uint32(_F32_NAN_BITS).view(np.float32)
+    return x
 
 
 def exponent_of_array(x: np.ndarray) -> np.ndarray:

@@ -693,7 +693,13 @@ def layer_from_spec(text: str) -> Layer:
         for piece in argtext.split(","):
             if "=" in piece:
                 key, val = piece.split("=", 1)
-                kwargs[key.strip()] = val
+                key = key.strip()
+                if key in kwargs:
+                    raise ValueError(f"repeated keyword {key!r} in layer spec {text!r}")
+                kwargs[key] = val
+            elif kwargs:
+                raise ValueError(f"positional argument after a keyword in "
+                                 f"layer spec {text!r}")
             else:
                 args.append(piece)
     cls = _LAYER_KINDS[kind]

@@ -15,8 +15,17 @@ accumulation to a BLAS.
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
+import hashlib
+import os
+import pathlib
+import platform
 import struct
+import subprocess
+import tempfile
+import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -139,7 +148,9 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32,
     order k = 0..K-1.  ACC32 rounds the result once on store.  ACC16
     (products are still exact: 11-bit significands) rounds the
     accumulator to the binary16 grid after every add, modeling hardware
-    whose accumulator is f16.
+    whose accumulator is f16.  Every NaN of the result is the canonical
+    one.  The loop runs in the compiled kernel `_matmul.c`, or, where it
+    cannot be built, in `_matmul_loop` with the same bits.
     """
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ValueError("matmul expects 2-d tensors")
@@ -154,6 +165,18 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32,
     if out_dtype is None:
         out_dtype = a.dtype
 
+    kernel = _kernel()
+    if kernel is None:
+        return _matmul_loop(a, b, mode, out_dtype)
+    acc = np.empty((m, n), dtype=np.float32)
+    kernel(a.widen(), b.widen(), acc, m, k, n, int(mode is AccumMode.ACC16))
+    return _store_acc(acc, mode, out_dtype)
+
+
+def _matmul_loop(a: Tensor, b: Tensor, mode: AccumMode, out_dtype: DType) -> Tensor:
+    """`matmul` on checked operands as a numpy loop over k: the fallback
+    where the kernel cannot be built, and the tests' reference for it."""
+    (m, k), n = a.shape, b.shape[1]
     aw = a.widen()
     bw = b.widen()
     acc16 = mode is AccumMode.ACC16
@@ -165,9 +188,61 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32,
             np.add(acc, prod, out=acc)
             if acc16:
                 acc = b16.to_f32_array(b16.from_f32_array(acc))
-    if acc16:
+    return _store_acc(acc, mode, out_dtype)
+
+
+def _store_acc(acc: np.ndarray, mode: AccumMode, out_dtype: DType) -> Tensor:
+    if mode is AccumMode.ACC16:
         return cast(store(acc, DType.F16), out_dtype)
-    return store(acc, out_dtype)
+    # Which NaN an add yields depends on operand order, which numpy's
+    # SIMD loops do not fix; one canonical NaN keeps the bits fixed.
+    return store(b16.canonicalize_f32_nans(acc), out_dtype)
+
+
+_KERNEL_SOURCE = pathlib.Path(__file__).with_name("_matmul.c")
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _build_kernel() -> pathlib.Path:
+    """Compile `_matmul.c` once per source, flags and machine into a
+    per-user cache, and return the shared library's path."""
+    source = _KERNEL_SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(
+        (*_KERNEL_FLAGS, platform.machine())).encode()).hexdigest()[:16]
+    cache = pathlib.Path.home() / ".cache" / "mptrain"
+    lib = cache / f"matmul-{key}.so"
+    if lib.exists():
+        return lib
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        subprocess.run(["cc", *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+@functools.cache
+def _kernel():
+    """The compiled `mm`, built on the first matmul rather than at
+    import; None, after one warning, when it cannot be built or loaded."""
+    try:
+        fn = ctypes.CDLL(str(_build_kernel())).mm
+    except (OSError, subprocess.SubprocessError) as e:
+        warnings.warn(f"mptrain: compiled matmul unavailable ({e}); using the "
+                      f"numpy loop, which gives the same bits more slowly",
+                      RuntimeWarning, stacklevel=3)
+        return None
+    f32 = np.ctypeslib.ndpointer(np.float32, ndim=2, flags="C_CONTIGUOUS")
+    out = np.ctypeslib.ndpointer(np.float32, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
+    fn.argtypes = [f32, f32, out, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+                   ctypes.c_int]
+    fn.restype = None
+    return fn
 
 
 def seq_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:

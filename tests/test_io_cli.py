@@ -599,6 +599,12 @@ def test_cli_init_override_of_wrong_shape_exits_1(tmp_path, capsys):
     ("model.layers", "LeakyReLU(true); Linear(16,4); SoftmaxCrossEntropy",
      "field model.layers"),
     ("model.layers", "Linear(16,4,true); SoftmaxCrossEntropy", "field model.layers"),
+    ("model.layers", "Linear(16,4,bias=true,bias=false); SoftmaxCrossEntropy",
+     "field model.layers"),
+    ("model.layers", "BatchNorm(16,momentum=0.5,momentum=0.9); Linear(16,4); "
+     "SoftmaxCrossEntropy", "field model.layers"),
+    ("model.layers", "Linear(bias=false,16,4); SoftmaxCrossEntropy", "field model.layers"),
+    ("model.layers", "Linear(16,bias=false,4); SoftmaxCrossEntropy", "field model.layers"),
     ("run.seed", "-1", "run.seed"),
     ("run.seed", "18446744073709551616", "run.seed"),
 ])

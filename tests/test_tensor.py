@@ -1,4 +1,8 @@
+import functools
 import io
+import shutil
+import subprocess
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +193,91 @@ def test_matmul_nonfinite_propagates():
     half = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F16)
     assert T.bits_equal(wide, T.cast(half, T.DType.F32))
     assert wide.data[0, 0] == np.float32(2.0**-24)
+
+
+def _f32_tensor(shape, bits):
+    return T.Tensor(shape, T.DType.F32,
+                    np.array(bits, dtype=np.uint32).view(np.float32).reshape(shape))
+
+
+_INF, _NEG_INF, _ONE, _ZERO = 0x7F800000, 0xFF800000, 0x3F800000, 0x00000000
+
+
+@pytest.mark.parametrize("a_bits,b_bits", [
+    ([_INF, _ONE], [_ZERO, _ONE]),            # inf*0 is the default NaN, 0xFFC00000 on x86
+    ([_INF, _NEG_INF], [_ONE, _ONE]),         # inf + -inf
+    ([0xFFC00001, _ONE], [_ONE, _ONE]),       # a NaN operand with sign and payload
+])
+def test_matmul_acc32_f32_result_nan_is_canonical(a_bits, b_bits):
+    a, b = _f32_tensor((1, 2), a_bits), _f32_tensor((2, 1), b_bits)
+    for fn in (T.matmul, T._matmul_loop):
+        out = fn(a, b, T.AccumMode.ACC32, T.DType.F32)
+        assert out.data.view(np.uint32)[0, 0] == 0x7FC00000
+
+
+_F16_SPECIAL = [0x0000, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0xFE00, 0x7C01, 0xFFFF,
+                0x7D55, 0x0001, 0x8001, 0x03FF, 0x83FF, 0x7BFF, 0xFBFF]
+_F32_SPECIAL = [0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000,
+                0xFFC00000, 0x7F800001, 0xFFC00001, 0x7FABCDEF, 0x00000001,
+                0x80000001, 0x007FFFFF, 0x477FE000, 0xC77FE000, 0x33800000]
+
+
+def _adversarial(rng, shape, dtype, special_rate):
+    """Normal values over a random scale, with a share of ±0, ±inf, NaNs
+    with payloads, subnormals and ±65504 mixed in."""
+    scale = 2.0 ** rng.integers(-20, 12)
+    values = T.store(rng.normal(0, scale, shape).astype(np.float32), dtype)
+    bits = values.data.view(np.uint16 if dtype is T.DType.F16 else np.uint32).copy()
+    special = _F16_SPECIAL if dtype is T.DType.F16 else _F32_SPECIAL
+    mask = rng.random(shape) < special_rate
+    bits[mask] = rng.choice(np.array(special, dtype=bits.dtype), int(mask.sum()))
+    if dtype is T.DType.F16:
+        return T.wrap_f16_bits(bits)
+    return T.Tensor(shape, dtype, bits.view(np.float32))
+
+
+def test_matmul_kernel_matches_numpy_loop_bit_for_bit():
+    rng = np.random.default_rng(1710)
+    paths = [(T.DType.F32, T.AccumMode.ACC32), (T.DType.F16, T.AccumMode.ACC32),
+             (T.DType.F16, T.AccumMode.ACC16)]
+    for case in range(320):
+        dtype, mode = paths[case % 3]
+        out_dtype = (T.DType.F16, T.DType.F32)[case // 3 % 2]
+        k = int(rng.choice([1, 2, 3, 7, 64, 300, 3000], p=[.1, .1, .1, .2, .3, .15, .05]))
+        m, n = (int(rng.choice([1, rng.integers(2, 12)])) for _ in range(2))
+        rate = float(rng.choice([0.0, 0.5 / k, 0.05]))
+        a = _adversarial(rng, (m, k), dtype, rate)
+        b = _adversarial(rng, (k, n), dtype, rate)
+        got = T.matmul(a, b, mode, out_dtype)
+        assert T.bits_equal(got, T._matmul_loop(a, b, mode, out_dtype)), \
+            (case, dtype, mode, out_dtype, (m, k, n))
+
+
+def test_matmul_without_kernel_warns_once_and_keeps_the_bits(monkeypatch):
+    def no_compiler():
+        raise FileNotFoundError("cc")
+    monkeypatch.setattr(T, "_build_kernel", no_compiler)
+    monkeypatch.setattr(T, "_kernel", functools.cache(T._kernel.__wrapped__))
+    rng = np.random.default_rng(12)
+    a = T.store(rng.normal(0, 2, (5, 40)).astype(np.float32), T.DType.F16)
+    b = T.store(rng.normal(0, 2, (40, 3)).astype(np.float32), T.DType.F16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = [T.matmul(a, b, mode, T.DType.F32)
+               for mode in (T.AccumMode.ACC16, T.AccumMode.ACC32)]
+    assert [str(w.message).count("numpy loop") for w in caught] == [1]
+    assert T._kernel() is None
+    monkeypatch.undo()
+    for out, mode in zip(got, (T.AccumMode.ACC16, T.AccumMode.ACC32)):
+        assert T.bits_equal(out, T.matmul(a, b, mode, T.DType.F32))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_matmul_kernel_compiles_without_warnings(tmp_path):
+    proc = subprocess.run(["cc", *T._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "mm.so"), str(T._KERNEL_SOURCE)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_reduce_sum_f32_accumulation():
