@@ -16,6 +16,7 @@ MPTRAIN_DATA_DIR environment variable.
 from __future__ import annotations
 
 import argparse
+import copy
 import gzip
 import hashlib
 import math
@@ -74,7 +75,10 @@ class Config:
             if current is None:
                 raise ConfigError(f"line {lineno}: key outside any [section]")
             key, _, value = line.partition("=")
-            cfg.sections[current][key.strip()] = value.strip()
+            key = key.strip()
+            if key in cfg.sections[current]:
+                raise ConfigError(f"line {lineno}: {current}.{key} is set twice")
+            cfg.sections[current][key] = value.strip()
         return cfg
 
     @staticmethod
@@ -517,6 +521,7 @@ def evaluate(model: nn.Model, ds: Dataset, policy: eng.TrainingPolicy,
 
 
 def run(config: RunConfig) -> RunResult:
+    policy = copy.deepcopy(config.policy)  # a dynamic scaler's state is this run's
     bundle = build_task(config)
     specs = config.model_specs or bundle.default_specs
     model = nn.model_from_specs(specs)
@@ -565,14 +570,14 @@ def run(config: RunConfig) -> RunResult:
                 x = T.take(train.inputs, idx)
                 y = T.take(train.labels, idx)
                 sampled = hook and iteration % config.sample_every == 0
-                report = eng.train_step(model, params, x, y, config.policy,
+                report = eng.train_step(model, params, x, y, policy,
                                         config.lr, config.momentum, config.nesterov,
                                         iteration, hook if sampled else None)
                 steps_csv.write(report)
                 epoch_loss += report.loss
                 iteration += 1
             train_loss = epoch_loss / n_batches
-            val_loss, val_acc = evaluate(model, val, config.policy, bs)
+            val_loss, val_acc = evaluate(model, val, policy, bs)
             best_acc = max(best_acc, val_acc)
             epochs_csv.write(f"{epoch},{train_loss!r},{val_loss!r},{val_acc!r}\n")
             final_train, final_loss, final_acc = train_loss, val_loss, val_acc

@@ -162,7 +162,7 @@ class Linear(Layer):
         grads = {"weight": T.matmul(T.transpose(rec.tensors["x"]), dy,
                                     policy.accum, policy.compute_dtype)}
         if self.bias:
-            grads["bias"] = T.reduce_sum(dy, 0, policy.compute_dtype)
+            grads["bias"] = _store(T.seq_sum(dy.widen(), 0), policy)
         dx = None
         if want_dx:
             dx = T.matmul(dy, T.transpose(params["weight"]), policy.accum,
@@ -219,7 +219,7 @@ class Conv2d(Layer):
                 patch = padded[:, :, i:i + oh * s:s, j:j + ow * s:s]
                 cols[:, :, :, :, i, j] = np.transpose(patch, (0, 2, 3, 1))
         cols = cols.reshape(b * oh * ow, c * self.kh * self.kw)
-        cols_t = T.Tensor(cols.shape, x.dtype, cols)
+        cols_t = T.Tensor(cols, x.dtype)
         wmat = T.reshape(params["weight"],
                          (self.out_channels, c * self.kh * self.kw))
         acc = T.matmul(cols_t, T.transpose(wmat), policy.accum, DType.F32).data
@@ -243,7 +243,7 @@ class Conv2d(Layer):
                         policy.compute_dtype)
         dw = T.reshape(T.transpose(dw2d),
                        (self.out_channels, c, self.kh, self.kw))
-        db = T.reduce_sum(dy_t, 0, policy.compute_dtype)
+        db = _store(T.seq_sum(dy_t.widen(), 0), policy)
         if not want_dx:
             return None, {"weight": dw, "bias": db}
 
@@ -478,8 +478,8 @@ class LSTMCell(Layer):
 
         dx = None
         if want_dx:
-            dx_data = np.stack([d.data for d in reversed(dx_steps)], axis=1)
-            dx = T.Tensor(dx_data.shape, policy.compute_dtype, dx_data)
+            dx = T.Tensor(np.stack([d.data for d in reversed(dx_steps)], axis=1),
+                          policy.compute_dtype)
         grads = {"w_ih": T.store(dw_ih, policy.compute_dtype),
                  "w_hh": T.store(dw_hh, policy.compute_dtype),
                  "bias": T.store(db, policy.compute_dtype)}

@@ -49,22 +49,21 @@ _STORAGE = {DType.F16: np.uint16, DType.F32: np.float32}
 
 
 class Tensor:
-    """Immutable dense n-d array. Construct via the module functions."""
+    """Immutable dense n-d array over its storage buffer: binary16
+    patterns (uint16) for F16, float32 for F32.  Shape and size come
+    from the buffer, which the tensor freezes (copying it first when it
+    is not C-contiguous)."""
 
-    __slots__ = ("shape", "dtype", "data")
+    __slots__ = ("dtype", "data")
 
-    def __init__(self, shape: tuple[int, ...], dtype: DType, data: np.ndarray):
-        shape = tuple(int(d) for d in shape)
-        if any(d < 1 for d in shape):
-            raise ValueError(f"dimensions must be >= 1, got {shape}")
+    def __init__(self, data: np.ndarray, dtype: DType):
         if data.dtype != _STORAGE[dtype]:
             raise ValueError(f"storage dtype {data.dtype} does not match {dtype}")
-        if data.shape != shape:
-            raise ValueError(f"buffer shape {data.shape} != {shape}")
+        if 0 in data.shape:
+            raise ValueError(f"dimensions must be >= 1, got {data.shape}")
         if not data.flags.c_contiguous:
             data = np.ascontiguousarray(data)
         data.flags.writeable = False
-        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "dtype", dtype)
         object.__setattr__(self, "data", data)
 
@@ -72,8 +71,12 @@ class Tensor:
         raise AttributeError("Tensor is immutable")
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
     def size(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+        return self.data.size
 
     def widen(self) -> np.ndarray:
         """Exact f32 values: a fresh array for F16, the frozen buffer
@@ -91,10 +94,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.value})"
 
 
-def _freeze(data: np.ndarray, dtype: DType) -> Tensor:
-    return Tensor(tuple(data.shape), dtype, data)
-
-
 def store(values: np.ndarray, dtype: DType) -> Tensor:
     """Round an f32 (or wider) value array into a tensor, once.
 
@@ -103,18 +102,13 @@ def store(values: np.ndarray, dtype: DType) -> Tensor:
     """
     arr = np.asarray(values, dtype=np.float32)
     if dtype is DType.F16:
-        return _freeze(b16.from_f32_array(arr), DType.F16)
-    return _freeze(arr.copy(), DType.F32)
-
-
-def wrap_f16_bits(bits: np.ndarray) -> Tensor:
-    """Adopt an existing uint16 pattern array without any rounding."""
-    return _freeze(np.ascontiguousarray(bits, dtype=np.uint16), DType.F16)
+        return Tensor(b16.from_f32_array(arr), DType.F16)
+    return Tensor(arr.copy(), DType.F32)
 
 
 def zeros(shape: Sequence[int], dtype: DType) -> Tensor:
     shape = tuple(int(d) for d in shape)
-    return _freeze(np.zeros(shape, dtype=_STORAGE[dtype]), dtype)
+    return Tensor(np.zeros(shape, dtype=_STORAGE[dtype]), dtype)
 
 
 def full(shape: Sequence[int], dtype: DType, value: float) -> Tensor:
@@ -137,7 +131,7 @@ def cast(t: Tensor, dtype: DType) -> Tensor:
         return t
     if dtype is DType.F16:
         return store(t.data, DType.F16)
-    return _freeze(b16.to_f32_array(t.data), DType.F32)
+    return Tensor(b16.to_f32_array(t.data), DType.F32)
 
 
 def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32,
@@ -170,7 +164,7 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32,
         return _matmul_loop(a, b, mode, out_dtype)
     acc = np.empty((m, n), dtype=np.float32)
     kernel(a.widen(), b.widen(), acc, m, k, n, int(mode is AccumMode.ACC16))
-    return _store_acc(acc, mode, out_dtype)
+    return store(b16.canonicalize_f32_nans(acc), out_dtype)
 
 
 def _matmul_loop(a: Tensor, b: Tensor, mode: AccumMode, out_dtype: DType) -> Tensor:
@@ -188,14 +182,6 @@ def _matmul_loop(a: Tensor, b: Tensor, mode: AccumMode, out_dtype: DType) -> Ten
             np.add(acc, prod, out=acc)
             if acc16:
                 acc = b16.to_f32_array(b16.from_f32_array(acc))
-    return _store_acc(acc, mode, out_dtype)
-
-
-def _store_acc(acc: np.ndarray, mode: AccumMode, out_dtype: DType) -> Tensor:
-    if mode is AccumMode.ACC16:
-        return cast(store(acc, DType.F16), out_dtype)
-    # Which NaN an add yields depends on operand order, which numpy's
-    # SIMD loops do not fix; one canonical NaN keeps the bits fixed.
     return store(b16.canonicalize_f32_nans(acc), out_dtype)
 
 
@@ -249,46 +235,39 @@ def seq_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:
     """Fixed-order f32 summation of an f32 array.
 
     A single axis folds sequentially from index 0.  axis=None folds the
-    leading axis first and recurses, ending in a scalar; the order is
-    part of the reproducibility contract.
+    leading axis first and recurses, ending in a 0-d array; the order is
+    part of the reproducibility contract.  Every NaN of the result is
+    the canonical one.
     """
     arr = np.asarray(values, dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         if axis is None:
             while arr.ndim > 0:
                 arr = _fold_axis(arr, 0)
-            return arr
-        return _fold_axis(arr, axis)
+        else:
+            arr = _fold_axis(arr, axis)
+    # Which NaN an add yields depends on operand order, which numpy's
+    # SIMD loops do not fix; one canonical NaN keeps the bits fixed.
+    return b16.canonicalize_f32_nans(arr)
 
 
 def _fold_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     if not -arr.ndim <= axis < arr.ndim:
         raise ValueError(f"axis {axis} out of range for {arr.ndim}-d input")
-    moved = np.moveaxis(arr, axis, 0)
-    acc = np.zeros(moved.shape[1:], dtype=np.float32)
-    for i in range(moved.shape[0]):
-        np.add(acc, moved[i], out=acc)
-    return acc
-
-
-def reduce_sum(t: Tensor, axis: int | None = None,
-               out_dtype: DType | None = None) -> Tensor:
-    """Sum with f32 accumulation regardless of the storage dtype."""
-    if out_dtype is None:
-        out_dtype = t.dtype
-    acc = seq_sum(t.widen(), axis)
-    if acc.ndim == 0:
-        acc = acc.reshape((1,))
-    return store(acc, out_dtype)
+    # accumulate adds index i to the sum of 0..i-1 in index order, so its
+    # last slice is the fold.  It starts from index 0, not from +0, which
+    # differs only where every term is -0: the +0 restores a +0 sum.
+    last = np.moveaxis(np.add.accumulate(arr, axis=axis), axis, 0)[-1, ...]
+    return np.add(last, np.float32(0), out=last)
 
 
 def transpose(t: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    return _freeze(np.transpose(t.data, axes), t.dtype)  # Tensor makes it contiguous
+    return Tensor(np.transpose(t.data, axes), t.dtype)  # Tensor makes it contiguous
 
 
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
     """A view of the (frozen) buffer in the new shape."""
-    return _freeze(t.data.reshape(tuple(int(d) for d in shape)), t.dtype)
+    return Tensor(t.data.reshape(tuple(int(d) for d in shape)), t.dtype)
 
 
 def slice_(t: Tensor, key) -> Tensor:
@@ -297,13 +276,13 @@ def slice_(t: Tensor, key) -> Tensor:
     out = t.data[key]
     if out.ndim == 0:
         out = out.reshape((1,))
-    return _freeze(out, t.dtype)
+    return Tensor(out, t.dtype)
 
 
 def take(t: Tensor, indices: np.ndarray) -> Tensor:
     """The rows of t at indices, along axis 0."""
-    out = np.take(t.data, np.asarray(indices, dtype=np.int64), axis=0)
-    return _freeze(np.ascontiguousarray(out), t.dtype)
+    return Tensor(np.take(t.data, np.asarray(indices, dtype=np.int64), axis=0),
+                  t.dtype)
 
 
 def bits_equal(a: Tensor, b: Tensor) -> bool:
@@ -410,5 +389,5 @@ def read_tensor(fh) -> Tensor:
     count = int(np.prod(dims, dtype=np.int64))
     raw = _read_exact(fh, count * _WIRE[dtype].itemsize, "buffer")
     data = np.frombuffer(raw, dtype=_WIRE[dtype]).astype(_STORAGE[dtype])
-    return _freeze(data.reshape(dims), dtype)
+    return Tensor(data.reshape(dims), dtype)
 

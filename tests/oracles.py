@@ -1,10 +1,11 @@
 """Independent reference implementations used only by the test suite.
 
 The binary16 oracles work in exact rational arithmetic
-(fractions.Fraction).  The layer oracle is a float64 forward per layer
-kind, written from each layer's definition, and the finite-difference
-gradient check built on it.  Neither shares a code path with the
-package under test.
+(fractions.Fraction).  The fixed-order sum oracle folds one row per
+numpy add.  The layer oracle is a float64 forward per layer kind,
+written from each layer's definition, and the finite-difference
+gradient check built on it.  None shares a code path with the package
+under test.
 """
 
 from __future__ import annotations
@@ -163,6 +164,20 @@ def exact_dot(a_vals, b_vals) -> Fraction:
     for x, y in zip(a_vals, b_vals):
         acc += Fraction(x) * Fraction(y)
     return acc
+
+
+def seq_sum_loop(values, axis=None) -> np.ndarray:
+    """tensor.seq_sum as a row loop: each axis folds from +0, adding
+    index 0, 1, ... in turn; axis=None folds the leading axis until a
+    0-d array is left.  NaN bits are whatever numpy's adds give."""
+    arr = np.asarray(values, dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ax in [0] * arr.ndim if axis is None else [axis]:
+            moved = np.moveaxis(arr, ax, 0)
+            arr = np.zeros(moved.shape[1:], dtype=np.float32)
+            for row in moved:
+                np.add(arr, row, out=arr)
+    return arr
 
 
 # ---------------------------------------------------------------------------

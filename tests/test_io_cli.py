@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import struct
 
@@ -49,6 +50,10 @@ def test_config_error_diagnostics():
         RunConfig.from_config(Config.parse("[run]\noutput_dir = /tmp/x\n"))
     with pytest.raises(ConfigError, match="run.task"):
         RunConfig.from_config(Config.parse("[run]\ntask = bogus\noutput_dir = /tmp/x\n"))
+    with pytest.raises(ConfigError, match="line 3: run.lr"):
+        Config.parse("[run]\nlr = 0.1\nlr = 0.5\n")
+    with pytest.raises(ConfigError, match="line 4: run.lr"):
+        Config.parse("[run]\nlr = 0.1\n[run]\nlr = 0.7\n")
 
 
 def test_config_typed_field_errors():
@@ -243,6 +248,17 @@ def test_run_produces_artifacts_and_is_deterministic(tmp_path):
     steps = (out1 / "steps.csv").read_text().splitlines()
     assert steps[0] == eng.STEP_CSV_HEADER
     assert len(steps) == 1 + 2 * (4096 // 64)
+
+
+def test_one_run_config_run_twice_gives_the_same_bytes(tmp_path):
+    text = BASE_CONFIG.format(out=tmp_path / "r1").replace(
+        "loss_scale = 8", "loss_scale = dynamic\ninit_scale = 8\ngrowth_interval = 10")
+    rc = RunConfig.from_config(Config.parse(text))
+    io_cli.run(rc)
+    io_cli.run(dataclasses.replace(rc, output_dir=str(tmp_path / "r2")))
+    steps = [(tmp_path / d / "steps.csv").read_bytes() for d in ("r1", "r2")]
+    assert steps[0] == steps[1]
+    assert rc.policy.scaler.scale == 8.0
 
 
 def test_run_with_sampling_hook_writes_histograms(tmp_path):

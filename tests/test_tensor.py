@@ -50,7 +50,7 @@ def test_store_then_read_identity():
     rng = np.random.default_rng(0)
     vals = rng.normal(0, 4, (13, 7)).astype(np.float32)
     t = T.store(vals, T.DType.F16)
-    again = T.wrap_f16_bits(t.data.copy())
+    again = T.Tensor(t.data.copy(), T.DType.F16)
     assert T.bits_equal(t, again)
     assert t.data.flags.writeable is False
 
@@ -196,8 +196,8 @@ def test_matmul_nonfinite_propagates():
 
 
 def _f32_tensor(shape, bits):
-    return T.Tensor(shape, T.DType.F32,
-                    np.array(bits, dtype=np.uint32).view(np.float32).reshape(shape))
+    return T.Tensor(np.array(bits, dtype=np.uint32).view(np.float32).reshape(shape),
+                    T.DType.F32)
 
 
 _INF, _NEG_INF, _ONE, _ZERO = 0x7F800000, 0xFF800000, 0x3F800000, 0x00000000
@@ -231,9 +231,7 @@ def _adversarial(rng, shape, dtype, special_rate):
     special = _F16_SPECIAL if dtype is T.DType.F16 else _F32_SPECIAL
     mask = rng.random(shape) < special_rate
     bits[mask] = rng.choice(np.array(special, dtype=bits.dtype), int(mask.sum()))
-    if dtype is T.DType.F16:
-        return T.wrap_f16_bits(bits)
-    return T.Tensor(shape, dtype, bits.view(np.float32))
+    return T.Tensor(bits if dtype is T.DType.F16 else bits.view(np.float32), dtype)
 
 
 def test_matmul_kernel_matches_numpy_loop_bit_for_bit():
@@ -280,21 +278,55 @@ def test_matmul_kernel_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_reduce_sum_f32_accumulation():
+def test_seq_sum_store_f32_accumulation():
     ones = T.full([4096], T.DType.F16, 1.0)
-    s = T.reduce_sum(ones, out_dtype=T.DType.F16)
+    s = T.store(T.seq_sum(ones.widen()), T.DType.F16)
     assert s.item() == 4096.0  # f32 accumulator, one store
 
-    s32 = T.reduce_sum(ones, out_dtype=T.DType.F32)
+    s32 = T.store(T.seq_sum(ones.widen()), T.DType.F32)
     assert s32.item() == 4096.0
 
 
-def test_reduce_sum_axis():
+def test_seq_sum_store_axis():
     x = T.from_values([2, 3], T.DType.F32, [1, 2, 3, 4, 5, 6])
-    assert T.reduce_sum(x, axis=0).data.tolist() == [5.0, 7.0, 9.0]
-    assert T.reduce_sum(x, axis=1).data.tolist() == [6.0, 15.0]
+    assert T.store(T.seq_sum(x.widen(), axis=0), x.dtype).data.tolist() == [5.0, 7.0, 9.0]
+    assert T.store(T.seq_sum(x.widen(), axis=1), x.dtype).data.tolist() == [6.0, 15.0]
     with pytest.raises(ValueError):
-        T.reduce_sum(x, axis=2)
+        T.seq_sum(x.widen(), axis=2)
+
+
+def _f32_bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float32).view(np.uint32)
+
+
+def test_seq_sum_nan_is_canonical_and_all_negative_zero_sums_to_positive_zero():
+    nan_first = np.array([0xFFC00001, 0x3F800000], dtype=np.uint32).view(np.float32)
+    assert _f32_bits(T.seq_sum(nan_first)) == 0x7FC00000
+    assert _f32_bits(T.seq_sum(np.full((3, 2), -0.0, np.float32), axis=0)).tolist() == [0, 0]
+    assert _f32_bits(T.seq_sum(np.full((1, 1), -0.0, np.float32))) == 0
+
+
+_SUM_SPECIAL = [0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7F7FFFFF,
+                0xFF7FFFFF, 0x00000001, 0x807FFFFF, 0xFFC00001, 0x7FC00123,
+                0xFF800001]
+
+
+def test_seq_sum_matches_the_row_loop_bit_for_bit():
+    rng = np.random.default_rng(1703)
+    for case in range(360):
+        shape = tuple(int(rng.choice([1, 2, 3, 7, 40])) for _ in range(case % 3 + 1))
+        axis = None if case % 4 == 0 else int(rng.integers(-len(shape), len(shape)))
+        values = rng.normal(0, 2.0 ** rng.integers(-130, 120), shape).astype(np.float32)
+        bits = values.view(np.uint32)
+        if case % 7 == 0:
+            bits[...] = 0x80000000  # every slice -0
+        else:
+            mask = rng.random(shape) < rng.choice([0.0, 0.05, 0.3])
+            bits[mask] = rng.choice(np.array(_SUM_SPECIAL, np.uint32), int(mask.sum()))
+        got = T.seq_sum(values, axis)
+        want = b16.canonicalize_f32_nans(oracles.seq_sum_loop(values, axis))
+        assert got.shape == want.shape, (case, shape, axis)
+        assert np.array_equal(_f32_bits(got), _f32_bits(want)), (case, shape, axis)
 
 
 def test_seq_sum_order_is_leading_axis_first():
