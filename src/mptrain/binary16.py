@@ -191,7 +191,7 @@ def from_f32_array(x: np.ndarray) -> np.ndarray:
     x32 = np.asarray(x, dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         h = x32.astype(np.float16)
-    nan_mask = np.isnan(h)
+    nan_mask = np.isnan(x32)  # an f32 is NaN exactly when its f16 rounding is
     bits = h.view(np.uint16)
     if nan_mask.any():
         bits[nan_mask] = CANONICAL_NAN

@@ -6,11 +6,12 @@ a run; executing it twice produces byte-identical metrics CSVs and
 checkpoints.
 
 Subcommands: train, compare, histogram, plot, halfdump, gendata.
-Exit codes: 0 ok, 1 config error (unknown keys, malformed layer specs and
-models that do not fit the task included), 2 data error, 3 numerical
-failure (non-finite loss under f32 precision, or a dynamic loss scale
-backed off to zero).  The dataset directory comes from the config or the
-MPTRAIN_DATA_DIR environment variable.
+Exit codes: 0 ok, 1 config error (unknown keys, malformed layer specs,
+models that do not fit the task and output paths that cannot be written
+included), 2 data error, 3 numerical failure (non-finite loss under f32
+precision, or a dynamic loss scale backed off to zero).  The dataset
+directory comes from the config or the MPTRAIN_DATA_DIR environment
+variable.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -101,12 +102,6 @@ class Config:
     def get(self, section: str, key: str, default=None) -> Optional[str]:
         return self.sections.get(section, {}).get(key, default)
 
-    def require(self, section: str, key: str) -> str:
-        v = self.get(section, key)
-        if v is None or v == "":
-            raise ConfigError(f"missing required field {section}.{key}")
-        return v
-
     def set(self, dotted: str, value: str) -> None:
         section, _, key = dotted.partition(".")
         if not section or not key:
@@ -117,32 +112,63 @@ class Config:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
-def _get_typed(cfg, section, key, convert, default, kind):
-    raw = cfg.get(section, key)
-    if raw is None or raw == "":
-        return default
-    try:
-        return convert(raw)
-    except ValueError:
-        raise ConfigError(f"field {section}.{key}: expected {kind}, got {raw!r}") from None
-
-
-def _bool(raw: str) -> bool:
-    low = raw.lower()
-    if low not in ("true", "1", "yes", "false", "0", "no"):
-        raise ValueError(raw)
-    return low in ("true", "1", "yes")
-
-
 TASKS = ("synthetic_classify", "synthetic_regress_small_grads", "mnist")
 PRESETS = ("fp32", "mp", "mp_noscale", "mp_nomaster")
-CONFIG_KEYS = {
-    "run": ("task", "seed", "epochs", "batch_size", "lr", "momentum",
-            "nesterov", "output_dir", "data_dir", "sample_every"),
-    "model": ("layers",),
-    "policy": ("preset", "accum", "loss_scale", "init_scale", "growth_factor",
-               "backoff_factor", "growth_interval", "clip_threshold"),
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    kind: type
+    default: object = None
+    rule: Optional[Callable] = None
+    says: str = ""
+
+
+# Every config key: its type, its default and the rule its value must meet;
+# lr and momentum are checked as the f32 values that sgd_step uses.
+FIELDS = {
+    "run.task": _Field(str, _REQUIRED, TASKS.__contains__, f"one of {TASKS}"),
+    "run.seed": _Field(int, 0, lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
+    "run.epochs": _Field(int, 1, lambda v: v >= 1, ">= 1"),
+    "run.batch_size": _Field(int, 32, lambda v: v >= 1, ">= 1"),
+    "run.lr": _Field(float, 0.1, lambda v: 0 < np.float32(v) < np.inf,
+                     "finite and positive as an f32"),
+    "run.momentum": _Field(float, 0.0, lambda v: 0 <= np.float32(v) < 1,
+                           "in [0, 1) as an f32"),
+    "run.nesterov": _Field(bool, False),
+    "run.output_dir": _Field(str, _REQUIRED),
+    "run.data_dir": _Field(str),
+    "run.sample_every": _Field(int, 0, lambda v: v >= 0, ">= 0"),
+    "model.layers": _Field(str),
+    "policy.preset": _Field(str, "fp32", PRESETS.__contains__, f"one of {PRESETS}"),
+    "policy.accum": _Field(str, "acc32", lambda v: v.lower() in ("acc16", "acc32"),
+                           "acc16 or acc32"),
+    "policy.loss_scale": _Field(float, 1.0),  # or "dynamic"
+    "policy.init_scale": _Field(float),
+    "policy.growth_factor": _Field(float),
+    "policy.backoff_factor": _Field(float),
+    "policy.growth_interval": _Field(int),
+    "policy.clip_threshold": _Field(float),
 }
+
+
+def _field(cfg: Config, dotted: str):
+    """One config value, typed and checked; the default if unset or empty."""
+    kind, default, rule, says = FIELDS[dotted]
+    raw = cfg.get(*dotted.split("."))
+    if raw is None or raw == "":
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field {dotted}")
+        return default
+    try:
+        value = nn.parse_value(kind, raw)
+    except ValueError as e:
+        raise ConfigError(f"field {dotted}: {e}") from None
+    with np.errstate(over="ignore"):  # a number past the f32 range reads as inf
+        ok = rule is None or rule(value)
+    if not ok:
+        raise ConfigError(f"{dotted} must be {says}, got {raw!r}")
+    return value
 
 
 @dataclass
@@ -165,79 +191,45 @@ class RunConfig:
     def from_config(cfg: Config) -> "RunConfig":
         for section, kv in cfg.sections.items():
             for key in kv:
-                if key not in CONFIG_KEYS.get(section, ()):
+                if f"{section}.{key}" not in FIELDS:
                     raise ConfigError(f"unknown field {section}.{key}")
-        task = cfg.require("run", "task")
-        if task not in TASKS:
-            raise ConfigError(f"run.task must be one of {TASKS}, got {task!r}")
+        # each run.<key> is the RunConfig field of that name
+        run = {key[4:]: _field(cfg, key) for key in FIELDS if key.startswith("run.")}
+        run["data_dir"] = run["data_dir"] or os.environ.get(DATA_DIR_ENV)
         specs = None
-        layers = cfg.get("model", "layers")
+        layers = _field(cfg, "model.layers")
         if layers:
             try:
                 specs = [s.strip() for s in layers.split(";") if s.strip()]
                 nn.model_from_specs(specs)  # validate early
             except ValueError as e:
                 raise ConfigError(f"field model.layers: {e}") from e
-        rc = RunConfig(
-            task=task,
-            seed=_get_typed(cfg, "run", "seed", int, 0, "an integer"),
-            epochs=_get_typed(cfg, "run", "epochs", int, 1, "an integer"),
-            batch_size=_get_typed(cfg, "run", "batch_size", int, 32, "an integer"),
-            lr=_get_typed(cfg, "run", "lr", float, 0.1, "a number"),
-            momentum=_get_typed(cfg, "run", "momentum", float, 0.0, "a number"),
-            nesterov=_get_typed(cfg, "run", "nesterov", _bool, False, "a boolean"),
-            output_dir=cfg.require("run", "output_dir"),
-            data_dir=cfg.get("run", "data_dir") or os.environ.get(DATA_DIR_ENV),
-            sample_every=_get_typed(cfg, "run", "sample_every", int, 0, "an integer"),
-            model_specs=specs,
-            policy=_build_policy(cfg),
-            source=cfg,
-        )
-        if not 0 <= rc.seed < 2**64:
-            raise ConfigError("run.seed must be in [0, 2**64)")
-        if rc.epochs < 1:
-            raise ConfigError("run.epochs must be >= 1")
-        if rc.batch_size < 1:
-            raise ConfigError("run.batch_size must be >= 1")
-        if not rc.lr > 0:
-            raise ConfigError("run.lr must be positive")
-        if not 0 <= rc.momentum < 1:
-            raise ConfigError("run.momentum must be in [0, 1)")
-        if rc.sample_every < 0:
-            raise ConfigError("run.sample_every must be >= 0")
-        return rc
-
-
-def _build_scaler(cfg: Config):
-    """A DynamicScale gets only the settings the config sets."""
-    if cfg.get("policy", "loss_scale", "").lower() != "dynamic":
-        return eng.ConstantScale(
-            _get_typed(cfg, "policy", "loss_scale", float, 1.0, "a number"))
-    settings = {key: _get_typed(cfg, "policy", key, convert, None, kind)
-                for key, convert, kind in (
-                    ("init_scale", float, "a number"),
-                    ("growth_factor", float, "a number"),
-                    ("backoff_factor", float, "a number"),
-                    ("growth_interval", int, "an integer"))}
-    return eng.DynamicScale(**{k: v for k, v in settings.items() if v is not None})
+        return RunConfig(**run, model_specs=specs, policy=_build_policy(cfg),
+                         source=cfg)
 
 
 def _build_policy(cfg: Config) -> eng.TrainingPolicy:
-    preset = cfg.get("policy", "preset", "fp32")
-    if preset not in PRESETS:
-        raise ConfigError(f"policy.preset must be one of {PRESETS}, got {preset!r}")
-    clip = _get_typed(cfg, "policy", "clip_threshold", float, None, "a number")
-    accum_raw = cfg.get("policy", "accum", "acc32").lower()
-    if accum_raw not in ("acc16", "acc32"):
-        raise ConfigError(f"policy.accum must be acc16 or acc32, got {accum_raw!r}")
-    accum = T.AccumMode.ACC16 if accum_raw == "acc16" else T.AccumMode.ACC32
-
+    preset = _field(cfg, "policy.preset")
+    clip = _field(cfg, "policy.clip_threshold")
+    acc16 = _field(cfg, "policy.accum").lower() == "acc16"
     try:
         if preset == "fp32":
             return eng.TrainingPolicy(clip_threshold=clip)
-        scaler = eng.ConstantScale() if preset == "mp_noscale" else _build_scaler(cfg)
+        if preset == "mp_noscale":
+            scaler = eng.ConstantScale()
+        elif cfg.get("policy", "loss_scale", "").lower() == "dynamic":
+            # a DynamicScale gets only the settings the config sets
+            settings = {key: _field(cfg, f"policy.{key}") for key in (
+                "init_scale", "growth_factor", "backoff_factor", "growth_interval")}
+            scaler = eng.DynamicScale(**{k: v for k, v in settings.items()
+                                         if v is not None})
+        else:
+            scaler = eng.ConstantScale(_field(cfg, "policy.loss_scale"))
+        accum = T.AccumMode.ACC16 if acc16 else T.AccumMode.ACC32
         return eng.TrainingPolicy(nn.PrecisionPolicy(DType.F16, accum),
                                   preset != "mp_nomaster", scaler, clip)
+    except ConfigError:
+        raise
     except ValueError as e:
         raise ConfigError(f"policy: {e}") from e
 
@@ -324,8 +316,10 @@ def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
                         f"or ${DATA_DIR_ENV})")
 
     def load_pair(img_name, lab_name, split):
-        images = _read_idx(os.path.join(data_dir, img_name), IDX_IMAGES_MAGIC)
-        labels = _read_idx(os.path.join(data_dir, lab_name), IDX_LABELS_MAGIC)
+        images = _read_input(_read_idx, os.path.join(data_dir, img_name),
+                             IDX_IMAGES_MAGIC)
+        labels = _read_input(_read_idx, os.path.join(data_dir, lab_name),
+                             IDX_LABELS_MAGIC)
         if labels.max() > 9:
             raise DataError(f"{split}: label {labels.max()} out of range [0, 9]")
         x = (images.astype(np.float32) / np.float32(255.0))
@@ -337,17 +331,11 @@ def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
     return train, val
 
 
-def write_idx_images(path, images: np.ndarray) -> None:
-    n, h, w = images.shape
+def write_idx(path, magic: int, values: np.ndarray) -> None:
+    """IDX file: the magic, one big-endian u32 per dimension, the bytes."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
-        fh.write(images.astype(np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
-        fh.write(labels.astype(np.uint8).tobytes())
+        fh.write(struct.pack(f">I{values.ndim}I", magic, *values.shape))
+        fh.write(values.astype(np.uint8).tobytes())
 
 
 def generate_surrogate_mnist(data_dir, seed: int = 20180423,
@@ -391,8 +379,8 @@ def generate_surrogate_mnist(data_dir, seed: int = 20180423,
                     ).astype(np.float32)[:, None, None]
         pix = (protos[labels] * 130.0 * contrast + 60.0
                + noise.reshape(n, 28, 28) * 0.85)
-        write_idx_images(img_path, np.clip(pix, 0, 255).astype(np.uint8))
-        write_idx_labels(lab_path, labels)
+        write_idx(img_path, IDX_IMAGES_MAGIC, np.clip(pix, 0, 255).astype(np.uint8))
+        write_idx(lab_path, IDX_LABELS_MAGIC, labels)
 
     make(n_train, 10, os.path.join(data_dir, "train-images-idx3-ubyte"),
          os.path.join(data_dir, "train-labels-idx1-ubyte"))
@@ -594,46 +582,41 @@ def run(config: RunConfig) -> RunResult:
                      best_acc, steps_path, epochs_path, ckpt_path)
 
 
+COMPARE_COLUMNS = ("variant", "final_train_loss", "final_val_loss", "final_val_acc",
+                   "best_val_acc")
+
+
 def compare(base_cfg: Config, vary_field: str, values: list[str],
             out_dir: Optional[str] = None) -> list[dict]:
     """Run the config once per value of one field; tabulate the results."""
-    base_out = out_dir or base_cfg.require("run", "output_dir")
+    base_out = out_dir or _field(base_cfg, "run.output_dir")
     rows = []
     for value in values:
         cfg = Config.parse(base_cfg.to_text())
         cfg.set(vary_field, value)
         cfg.set("run.output_dir", os.path.join(base_out, f"{vary_field}={value}"))
         result = run(RunConfig.from_config(cfg))
-        rows.append({
-            "variant": f"{vary_field}={value}",
-            "final_train_loss": result.final_train_loss,
-            "final_val_loss": result.final_val_loss,
-            "final_val_acc": result.final_val_acc,
-            "best_val_acc": result.best_val_acc,
-            "output_dir": result.output_dir,
-        })
+        rows.append({"variant": f"{vary_field}={value}",
+                     **{c: getattr(result, c) for c in COMPARE_COLUMNS[1:]},
+                     "output_dir": result.output_dir})
     os.makedirs(base_out, exist_ok=True)
     csv_path = os.path.join(base_out, "compare.csv")
-    cols = ["variant", "final_train_loss", "final_val_loss", "final_val_acc",
-            "best_val_acc"]
     with open(csv_path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(COMPARE_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in cols) + "\n")
+                              else str(row[c]) for c in COMPARE_COLUMNS) + "\n")
     return rows
 
 
 def format_compare_table(rows: list[dict]) -> str:
-    cols = ["variant", "final_train_loss", "final_val_loss", "final_val_acc",
-            "best_val_acc"]
     cells = [[("{:.6g}".format(r[c]) if isinstance(r[c], float) else str(r[c]))
-              for c in cols] for r in rows]
+              for c in COMPARE_COLUMNS] for r in rows]
     widths = [max(len(c), max((len(row[i]) for row in cells), default=0))
-              for i, c in enumerate(cols)]
+              for i, c in enumerate(COMPARE_COLUMNS)]
     def fmt(row):
         return "  ".join(v.ljust(w) for v, w in zip(row, widths))
-    lines = [fmt(cols), fmt(["-" * w for w in widths])]
+    lines = [fmt(COMPARE_COLUMNS), fmt(["-" * w for w in widths])]
     lines += [fmt(row) for row in cells]
     return "\n".join(lines)
 
@@ -696,31 +679,26 @@ def emit_plot(csv_paths: list, out_path, metric: Optional[str] = None,
     pw, ph = width - ml - mr, height - mt - mb
 
     xs = np.concatenate([s[1] for s in series])
+    if logy:  # chart log10 of the positive values on the linear path
+        series = [(label, x[y > 0], np.array([math.log10(v) for v in y[y > 0]]))
+                  for label, x, y in series]
     ys = np.concatenate([s[2] for s in series])
-    if logy:
-        ys = ys[ys > 0]
-        if ys.size == 0:
-            raise DataError("log scale requires positive values")
+    if ys.size == 0:
+        raise DataError("log scale requires positive values")
     x_lo, x_hi = float(xs.min()), float(xs.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if logy:
-        y_lo, y_hi = math.log10(float(ys.min())), math.log10(float(ys.max()))
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
-    else:
-        y_lo, y_hi = float(ys.min()), float(ys.max())
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.0 if logy else 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
 
     def sx(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * pw
 
     def sy(v):
-        vv = math.log10(v) if logy else v
-        return mt + ph - (vv - y_lo) / (y_hi - y_lo) * ph
+        return mt + ph - (v - y_lo) / (y_hi - y_lo) * ph
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -739,18 +717,16 @@ def emit_plot(csv_paths: list, out_path, metric: Optional[str] = None,
                      f'y2="{mt + ph + 5}" stroke="#333"/>')
         parts.append(f'<text x="{px:.1f}" y="{mt + ph + 20}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{t:g}</text>')
-    if logy:
-        lo_e, hi_e = math.floor(y_lo), math.ceil(y_hi)
-        yticks = [10.0**e for e in range(lo_e, hi_e + 1)
-                  if y_lo <= e <= y_hi]
-    else:
-        yticks = _nice_ticks(y_lo, y_hi)
+    # log ticks are the whole exponents, labelled 10**t
+    yticks = (range(math.ceil(y_lo), math.floor(y_hi) + 1) if logy
+              else _nice_ticks(y_lo, y_hi))
     for t in yticks:
         py = sy(t)
         parts.append(f'<line x1="{ml - 5}" y1="{py:.1f}" x2="{ml}" y2="{py:.1f}" '
                      f'stroke="#333"/>')
         parts.append(f'<text x="{ml - 8}" y="{py + 4:.1f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{t:g}</text>')
+                     f'font-family="sans-serif" font-size="11">'
+                     f'{10.0**t if logy else t:g}</text>')
 
     parts.append(f'<text x="{ml + pw/2:.1f}" y="{height - 12}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12">epoch / iteration</text>')
@@ -761,11 +737,7 @@ def emit_plot(csv_paths: list, out_path, metric: Optional[str] = None,
 
     for i, (label, x, y) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = []
-        for xv, yv in zip(x, y):
-            if logy and yv <= 0:
-                continue
-            pts.append(f"{sx(xv):.2f},{sy(yv):.2f}")
+        pts = [f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
                      f'points="{" ".join(pts)}"/>')
         ly = mt + 16 + 18 * i
@@ -911,6 +883,9 @@ def main(argv=None) -> int:
     except eng.NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    except OSError as e:  # an output path that cannot be written
+        print(f"config error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Mixed-precision training loop: master weights, loss scaling, SGD.
 
 One training step runs, in order: sync f16 shadows from the f32
-masters, forward, backward seeded with the loss scale, unscale the
-weight gradients in f32, check them for inf/NaN, then either skip the
-update (leaving every parameter untouched) or clip/apply SGD on the
-masters, and finally let the scaler do its bookkeeping.
+masters (F16 precision only), forward, backward seeded with the loss
+scale, unscale the weight gradients in f32, check them for inf/NaN,
+then either skip the update (leaving every parameter untouched) or
+clip/apply SGD on the masters and re-sync the shadows, and finally let
+the scaler do its bookkeeping.
 
 Loss scales are restricted to powers of two so scaling and unscaling
 are exponent shifts that introduce no rounding error.
@@ -40,8 +41,10 @@ class ConstantScale:
     """Fixed loss scale; overflow steps are skipped with a warning."""
 
     def __init__(self, scale: float = 1.0):
-        if not _is_power_of_two(scale):
-            raise ValueError(f"loss scale must be a positive power of two, got {scale}")
+        # the range where both S and 1/S are finite nonzero f32 values
+        if not (_is_power_of_two(scale) and 2.0**-127 <= scale <= 2.0**127):
+            raise ValueError(f"loss scale must be a power of two in "
+                             f"[2**-127, 2**127], got {scale}")
         self.scale = float(scale)
 
     dynamic = False
@@ -127,7 +130,7 @@ class TrainingPolicy:
 
 
 class Parameter:
-    """One weight: f32 master, f16 shadow, f32 momentum buffer."""
+    """One weight: f32 master, f16 shadow (read by F16 only), f32 momentum buffer."""
 
     def __init__(self, name: str, master: Tensor):
         if master.dtype is not DType.F32:
@@ -223,11 +226,13 @@ def sgd_step(params: dict[str, Parameter], unscaled: dict[str, np.ndarray],
              use_master: bool = True) -> None:
     """SGD with (optionally Nesterov) momentum, entirely in f32.
 
-    With use_master=False the update is applied to the f16 shadow
-    instead (the ablation arm): the f32-computed update is added to the
-    widened f16 weight and rounded back, so updates below half an ulp of
-    the weight are lost to swamping.  The momentum buffer stays f32 in
-    both arms to isolate the master-copy variable.
+    With use_master=True only the master is updated (train_step re-casts
+    the shadows that F16 reads).  With use_master=False the update is
+    applied to the f16 shadow instead (the ablation arm): the
+    f32-computed update is added to the widened f16 weight and rounded
+    back, so updates below half an ulp of the weight are lost to
+    swamping.  The momentum buffer stays f32 in both arms to isolate the
+    master-copy variable.
     """
     if not lr > 0:
         raise ValueError("lr must be positive")
@@ -245,7 +250,6 @@ def sgd_step(params: dict[str, Parameter], unscaled: dict[str, np.ndarray],
         step32 = np.float32(lr) * update
         if use_master:
             p.master = T.store(p.master.data - step32, DType.F32)
-            p.sync_shadow()
         else:
             p.shadow = T.store(p.shadow.widen() - step32, DType.F16)
             p.master = T.cast(p.shadow, DType.F32)
@@ -263,11 +267,13 @@ def train_step(model: nn.Model, params: dict[str, Parameter], inputs: Tensor,
     the exact ordering.  `observer` gets the stored gradients (with the
     model-input gradient, which only observed steps compute) and the
     unscaled f32 weight gradients; pass it only on the steps to sample."""
-    for p in params.values():
-        p.sync_shadow()
+    pdtype = policy.precision.compute_dtype
+    f16 = pdtype is DType.F16
+    if f16:
+        for p in params.values():
+            p.sync_shadow()
     bind_parameters(model, params, policy)
 
-    pdtype = policy.precision.compute_dtype
     x = T.cast(inputs, pdtype)
     tgt = T.cast(targets, pdtype) if isinstance(targets, Tensor) else targets
 
@@ -297,6 +303,9 @@ def train_step(model: nn.Model, params: dict[str, Parameter], inputs: Tensor,
             clip_gradients(unscaled, policy.clip_threshold, grad_norm)
         sgd_step(params, unscaled, lr, momentum, nesterov,
                  use_master=policy.use_master)
+        if f16 and policy.use_master:
+            for p in params.values():
+                p.sync_shadow()
     policy.scaler.update(overflow)
 
     return StepReport(iteration, loss, overflow, skipped, scale, grad_norm)

@@ -672,13 +672,14 @@ _LAYER_KINDS = {cls.__name__: cls for cls in (
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 
 
-def _spec_arg(name: str, kind: type, text: str):
-    """One spec argument as its annotated type, or a TypeError like bind's."""
+def parse_value(kind: type, text: str):
+    """Config or layer-spec text as an int, float, bool or str; a bool is
+    `true` or `false` in any case.  Raises ValueError."""
     text = text.strip()
     try:
         return {"true": True, "false": False}[text.lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
-        raise TypeError(f"{name} expects {kind.__name__}, got {text!r}") from None
+        raise ValueError(f"expected {kind.__name__}, got {text!r}") from None
 
 
 def layer_from_spec(text: str) -> Layer:
@@ -707,8 +708,8 @@ def layer_from_spec(text: str) -> Layer:
     try:
         bound = sig.bind(*args, **kwargs)
         for name, raw in bound.arguments.items():
-            bound.arguments[name] = _spec_arg(name, sig.parameters[name].annotation, raw)
-    except TypeError as e:
+            bound.arguments[name] = parse_value(sig.parameters[name].annotation, raw)
+    except (TypeError, ValueError) as e:
         raise ValueError(f"bad arguments in layer spec {text!r}: {e}") from None
     return cls(*bound.args, **bound.kwargs)
 

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptrain import binary16 as b16
 from mptrain import diagnostics as diag
@@ -114,15 +116,36 @@ def test_policy_dynamic_scaler_fields():
     assert p.scaler.growth_interval == 10
 
 
+_VALUE_TEXT = st.one_of(
+    st.text(max_size=12), st.integers(-2**70, 2**70).map(str),
+    st.floats().map(repr), st.sampled_from(
+        ["true", "FALSE", "yes", "0", "dynamic", "acc16", "mp", "mnist", "2**3",
+         "nan", "-inf", "1e-50", "0.99999999", "Linear(16,4); SoftmaxCrossEntropy"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(key=st.sampled_from(sorted(io_cli.FIELDS)), text=_VALUE_TEXT,
+       preset=st.sampled_from(io_cli.PRESETS))
+def test_config_fuzz_one_field_returns_or_raises_config_error(key, text, preset):
+    cfg = Config.parse(BASE_CONFIG.format(out="/nonexistent/out"))
+    cfg.set("policy.preset", preset)
+    cfg.set(key, text)
+    try:
+        RunConfig.from_config(cfg)
+    except ConfigError:
+        pass
+
+
 # --- IDX ----------------------------------------------------------------------
 
 def test_idx_write_read_roundtrip(tmp_path):
     images = (np.arange(2 * 28 * 28) % 251).astype(np.uint8).reshape(2, 28, 28)
     labels = np.array([3, 7], dtype=np.uint8)
-    io_cli.write_idx_images(tmp_path / "train-images-idx3-ubyte", images)
-    io_cli.write_idx_labels(tmp_path / "train-labels-idx1-ubyte", labels)
-    io_cli.write_idx_images(tmp_path / "t10k-images-idx3-ubyte", images)
-    io_cli.write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte", labels)
+    for split in ("train", "t10k"):
+        io_cli.write_idx(tmp_path / f"{split}-images-idx3-ubyte",
+                         io_cli.IDX_IMAGES_MAGIC, images)
+        io_cli.write_idx(tmp_path / f"{split}-labels-idx1-ubyte",
+                         io_cli.IDX_LABELS_MAGIC, labels)
 
     train, val = io_cli.load_mnist(tmp_path)
     assert train.inputs.shape == (2, 28, 28)
@@ -146,12 +169,11 @@ def test_idx_truncated(tmp_path):
 
 def test_idx_count_mismatch(tmp_path):
     images = np.zeros((3, 28, 28), dtype=np.uint8)
-    io_cli.write_idx_images(tmp_path / "train-images-idx3-ubyte", images)
-    io_cli.write_idx_labels(tmp_path / "train-labels-idx1-ubyte",
-                            np.zeros(2, dtype=np.uint8))
-    io_cli.write_idx_images(tmp_path / "t10k-images-idx3-ubyte", images)
-    io_cli.write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte",
-                            np.zeros(3, dtype=np.uint8))
+    for split, n_labels in (("train", 2), ("t10k", 3)):
+        io_cli.write_idx(tmp_path / f"{split}-images-idx3-ubyte",
+                         io_cli.IDX_IMAGES_MAGIC, images)
+        io_cli.write_idx(tmp_path / f"{split}-labels-idx1-ubyte",
+                         io_cli.IDX_LABELS_MAGIC, np.zeros(n_labels, dtype=np.uint8))
     with pytest.raises(DataError, match="3 inputs vs 2 labels"):
         io_cli.load_mnist(tmp_path)
 
@@ -549,9 +571,10 @@ def _idx_pairs(tmp, train_images, val_images):
     data = tmp / "data"
     data.mkdir()
     for split, images in (("train", train_images), ("t10k", val_images)):
-        io_cli.write_idx_images(data / f"{split}-images-idx3-ubyte", images)
-        io_cli.write_idx_labels(data / f"{split}-labels-idx1-ubyte",
-                                np.zeros(images.shape[0], np.uint8))
+        io_cli.write_idx(data / f"{split}-images-idx3-ubyte",
+                         io_cli.IDX_IMAGES_MAGIC, images)
+        io_cli.write_idx(data / f"{split}-labels-idx1-ubyte",
+                         io_cli.IDX_LABELS_MAGIC, np.zeros(images.shape[0], np.uint8))
     return _mnist_config(tmp, data)
 
 
@@ -623,6 +646,14 @@ def test_cli_init_override_of_wrong_shape_exits_1(tmp_path, capsys):
     ("model.layers", "Linear(16,bias=false,4); SoftmaxCrossEntropy", "field model.layers"),
     ("run.seed", "-1", "run.seed"),
     ("run.seed", "18446744073709551616", "run.seed"),
+    ("run.nesterov", "yes", "field run.nesterov"),
+    # values that read fine as text but round to inf, 0 or 1 in f32
+    ("run.lr", "inf", "run.lr"),
+    ("run.lr", "1e39", "run.lr"),
+    ("run.lr", "1e-50", "run.lr"),
+    ("run.momentum", "0.99999999", "run.momentum"),
+    ("policy.loss_scale", repr(2.0**200), "policy"),
+    ("policy.loss_scale", repr(2.0**-200), "policy"),
 ])
 def test_cli_bad_layer_spec_or_seed_exits_1_with_one_line(field, value, says,
                                                           tmp_path, capsys):
@@ -667,6 +698,40 @@ def test_cli_unknown_config_key_exits_1_with_one_line(field, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"config error: unknown field {field}\n"
     assert not (tmp_path / "out").exists()
+
+
+def _train_into_a_file(tmp):
+    (tmp / "f").write_text("")
+    cfg = Config.parse(BASE_CONFIG.format(out=tmp / "f"))
+    cfg.set("run.epochs", "1")
+    (tmp / "w.cfg").write_text(cfg.to_text())
+    return ["train", str(tmp / "w.cfg")]
+
+
+def _plot_into_a_missing_dir(tmp):
+    (tmp / "e.csv").write_text("epoch,val_loss\n0,1.0\n")
+    return ["plot", str(tmp / "e.csv"), "-o", str(tmp / "missing" / "p.svg")]
+
+
+def _histogram_into_a_missing_dir(tmp):
+    model = nn.Model([nn.Linear(2, 1), nn.MeanSquaredError()])
+    eng.save_checkpoint(tmp / "m.ckpt", model, eng.make_parameters(model, 0))
+    return ["histogram", str(tmp / "m.ckpt"), "--output-dir", str(tmp / "missing")]
+
+
+def _gendata_under_a_file(tmp):
+    (tmp / "f").write_text("")
+    return ["gendata", str(tmp / "f" / "d")]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _train_into_a_file, _plot_into_a_missing_dir, _histogram_into_a_missing_dir,
+    _gendata_under_a_file])
+def test_cli_unwritable_output_path_exits_1_with_one_line(make_argv, tmp_path, capsys):
+    assert io_cli.main(make_argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -50,6 +50,21 @@ def test_sync_shadow_oracle_values():
     assert p3.shadow.data[0] == b16.from_f32(1.5)
 
 
+@pytest.mark.parametrize("policy,casts_per_param", [
+    (eng.TrainingPolicy(), 0), (eng.TrainingPolicy(nn.MP_POLICY), 2)])
+def test_train_step_casts_shadows_only_where_f16_reads_them(policy, casts_per_param,
+                                                             monkeypatch):
+    model, params = tiny_model(seed=1)
+    x, t = healthy_batch(seed=1)
+    calls = []
+    real = eng.Parameter.sync_shadow
+    monkeypatch.setattr(eng.Parameter, "sync_shadow",
+                        lambda p: calls.append(p.name) or real(p))
+    rep = eng.train_step(model, params, x, t, policy, lr=0.1)
+    assert not rep.skipped
+    assert len(calls) == casts_per_param * len(params)
+
+
 # --- unscale / overflow / suggestion ----------------------------------------
 
 def test_unscale_exact_powers_of_two():
@@ -115,6 +130,12 @@ def test_scaler_validation():
         eng.DynamicScale(growth_factor=1.0)
     with pytest.raises(ValueError):
         eng.DynamicScale(backoff_factor=2.0)
+    # S and 1/S must both be finite nonzero f32 values
+    for scale in (2.0**128, 2.0**-128, 2.0**200, 2.0**-200):
+        with pytest.raises(ValueError):
+            eng.ConstantScale(scale)
+    assert eng.ConstantScale(2.0**127).scale == 2.0**127
+    assert eng.ConstantScale(2.0**-127).scale == 2.0**-127
 
 
 def test_dynamic_scale_backoff_to_zero_raises():
