@@ -4,11 +4,14 @@ A half value is carried around as its raw bit pattern: a plain int in
 [0, 0xFFFF] for the scalar API, or a uint16 ndarray for the array API.
 Layout is 1 sign bit, 5 exponent bits, 10 mantissa bits.
 
-The scalar conversions below are the bit-level reference implementation.
-The array functions take the fast path through numpy's native half
-conversion; the test suite asserts bit-exact agreement between the two
-on every one of the 65536 patterns and on millions of random inputs, so
-either path can be taken as the format's semantics.
+The module holds conversions only, no arithmetic: callers widen with
+to_f32_array (exact), compute in f32 and round once with
+from_f32_array.  The scalar conversions are the bit-level reference
+implementation, used by the `halfdump` command.  The array functions
+take the fast path through numpy's native half conversion; the test
+suite asserts bit-exact agreement between the two on every one of the
+65536 patterns and on millions of random inputs, so either path can be
+taken as the format's semantics.
 
 All rounding is round-to-nearest-even.  Subnormals are fully supported
 (never flushed).  Every NaN collapses to one canonical quiet NaN.
@@ -22,21 +25,15 @@ import struct
 
 import numpy as np
 
-# Field masks / well-known patterns
+# Field masks and the patterns the conversions produce
 SIGN_MASK = 0x8000
 EXP_MASK = 0x7C00
 MANT_MASK = 0x03FF
 
-POS_ZERO = 0x0000
-NEG_ZERO = 0x8000
 POS_INF = 0x7C00
-NEG_INF = 0xFC00
 CANONICAL_NAN = 0x7E00
-MAX_FINITE = 0x7BFF  # 65504.0
-MIN_SUBNORMAL = 0x0001  # 2^-24
 
 MAX_FINITE_VALUE = 65504.0
-MIN_SUBNORMAL_VALUE = 2.0 ** -24
 
 _F32_NAN_BITS = 0x7FC00000
 
@@ -137,22 +134,6 @@ def to_f32(h: int) -> float:
     return sign * math.ldexp(0x400 | mant, exp - 25)
 
 
-def h_add(a: int, b: int) -> int:
-    """Correctly rounded binary16 sum.
-
-    The exact sum of two binary16 values fits in a double, so widening,
-    adding, and rounding back yields the same pattern as one rounding of
-    the exact result (single precision already carries the 2p+2 bits
-    needed to make the two-step rounding safe).
-    """
-    return from_f32(to_f32(a) + to_f32(b))
-
-
-def h_mul(a: int, b: int) -> int:
-    """Correctly rounded binary16 product (exact in f32, rounded once)."""
-    return from_f32(to_f32(a) * to_f32(b))
-
-
 def classify(h: int) -> HalfClass:
     exp = (h >> 10) & 0x1F
     mant = h & MANT_MASK
@@ -171,14 +152,6 @@ def exponent_of(h: int) -> int:
     if kind is HalfClass.SUBNORMAL:
         return (h & MANT_MASK).bit_length() - 1 - 24
     raise ValueError(f"exponent undefined for {kind.value} pattern 0x{h:04X}")
-
-
-def is_finite(h: int) -> bool:
-    return (h & EXP_MASK) != EXP_MASK
-
-
-def is_nan(h: int) -> bool:
-    return (h & EXP_MASK) == EXP_MASK and (h & MANT_MASK) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ trajectories are bit-identical with and without it.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ from .tensor import DType, Tensor
 
 @dataclass
 class ExponentHistogram:
-    dtype: DType
     zero_count: int = 0
     bins: dict[int, int] = field(default_factory=dict)
     nonfinite_count: int = 0
@@ -65,7 +63,7 @@ def histogram(t: Tensor) -> ExponentHistogram:
     nonzero = flat != 0
     live = finite & nonzero
 
-    h = ExponentHistogram(dtype=t.dtype, total=int(flat.size))
+    h = ExponentHistogram(total=int(flat.size))
     h.zero_count = int((finite & ~nonzero).sum())
     h.nonfinite_count = int((~finite).sum())
     if live.any():
@@ -77,26 +75,11 @@ def histogram(t: Tensor) -> ExponentHistogram:
     return h
 
 
-def merge(a: ExponentHistogram, b: ExponentHistogram) -> ExponentHistogram:
-    """Exact count addition; commutative and associative."""
-    if a.dtype is not b.dtype:
-        raise ValueError("cannot merge histograms from different source dtypes")
-    out = ExponentHistogram(dtype=a.dtype)
-    out.zero_count = a.zero_count + b.zero_count
-    out.nonfinite_count = a.nonfinite_count + b.nonfinite_count
-    out.total = a.total + b.total
-    out.max_abs = max(a.max_abs, b.max_abs)
-    out.bins = dict(a.bins)
-    for e, c in b.bins.items():
-        out.bins[e] = out.bins.get(e, 0) + c
-    out.check()
-    return out
-
-
 def merged(tensors) -> ExponentHistogram | None:
-    """Histogram of every tensor that is not None, merged in order."""
-    hists = [histogram(t) for t in tensors if t is not None]
-    return functools.reduce(merge, hists) if hists else None
+    """One histogram over the elements of every tensor that is not None
+    (their exact f32 values, concatenated); None if there is none."""
+    values = [t.widen().reshape(-1) for t in tensors if t is not None]
+    return histogram(Tensor(np.concatenate(values), DType.F32)) if values else None
 
 
 def report(h: ExponentHistogram) -> UnderflowReport:
@@ -123,7 +106,7 @@ def write_csv(path, h: ExponentHistogram) -> None:
 
 
 def read_csv(path) -> ExponentHistogram:
-    h = ExponentHistogram(dtype=DType.F16)
+    h = ExponentHistogram()
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "exponent,count":

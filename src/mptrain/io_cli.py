@@ -87,7 +87,7 @@ class Config:
         try:
             with open(path) as fh:
                 return Config.parse(fh.read())
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
 
     def to_text(self) -> str:
@@ -125,16 +125,14 @@ class _Field(NamedTuple):
 
 
 # Every config key: its type, its default and the rule its value must meet;
-# lr and momentum are checked as the f32 values that sgd_step uses.
+# lr and momentum are checked by sgd_step's own rules.
 FIELDS = {
     "run.task": _Field(str, _REQUIRED, TASKS.__contains__, f"one of {TASKS}"),
     "run.seed": _Field(int, 0, lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
     "run.epochs": _Field(int, 1, lambda v: v >= 1, ">= 1"),
     "run.batch_size": _Field(int, 32, lambda v: v >= 1, ">= 1"),
-    "run.lr": _Field(float, 0.1, lambda v: 0 < np.float32(v) < np.inf,
-                     "finite and positive as an f32"),
-    "run.momentum": _Field(float, 0.0, lambda v: 0 <= np.float32(v) < 1,
-                           "in [0, 1) as an f32"),
+    "run.lr": _Field(float, 0.1, eng.lr_ok, "finite and positive as an f32"),
+    "run.momentum": _Field(float, 0.0, eng.momentum_ok, "in [0, 1) as an f32"),
     "run.nesterov": _Field(bool, False),
     "run.output_dir": _Field(str, _REQUIRED),
     "run.data_dir": _Field(str),
@@ -164,9 +162,7 @@ def _field(cfg: Config, dotted: str):
         value = nn.parse_value(kind, raw)
     except ValueError as e:
         raise ConfigError(f"field {dotted}: {e}") from None
-    with np.errstate(over="ignore"):  # a number past the f32 range reads as inf
-        ok = rule is None or rule(value)
-    if not ok:
+    if rule is not None and not rule(value):
         raise ConfigError(f"{dotted} must be {says}, got {raw!r}")
     return value
 
@@ -823,6 +819,9 @@ def _cmd_halfdump(args) -> int:
 
 
 def _cmd_gendata(args) -> int:
+    seed = FIELDS["run.seed"]
+    if not seed.rule(args.seed):
+        raise ConfigError(f"--seed must be {seed.says}, got {args.seed}")
     generate_surrogate_mnist(args.dir, seed=args.seed)
     print(f"wrote surrogate IDX dataset to {args.dir}")
     return 0

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import binary16 as b16
 from . import nn
 from . import tensor as T
 from .tensor import AccumMode, DType, Tensor
@@ -213,12 +214,24 @@ def suggest_constant_scale(max_abs_grad: float) -> float:
     the binary16 overflow threshold 65504."""
     if not (math.isfinite(max_abs_grad) and max_abs_grad > 0):
         raise ValueError("max_abs_grad must be finite and positive")
-    p = 2.0 ** math.floor(math.log2(65504.0 / max_abs_grad))
-    while p * max_abs_grad >= 65504.0:
+    p = 2.0 ** math.floor(math.log2(b16.MAX_FINITE_VALUE / max_abs_grad))
+    while p * max_abs_grad >= b16.MAX_FINITE_VALUE:
         p /= 2.0
-    while 2.0 * p * max_abs_grad < 65504.0:
+    while 2.0 * p * max_abs_grad < b16.MAX_FINITE_VALUE:
         p *= 2.0
     return p
+
+
+def lr_ok(lr: float) -> bool:
+    """Whether lr is finite and positive as the f32 that sgd_step uses."""
+    with np.errstate(over="ignore"):
+        return bool(0 < np.float32(lr) < np.inf)
+
+
+def momentum_ok(momentum: float) -> bool:
+    """Whether momentum is in [0, 1) as the f32 that sgd_step uses."""
+    with np.errstate(over="ignore"):
+        return bool(0 <= np.float32(momentum) < 1)
 
 
 def sgd_step(params: dict[str, Parameter], unscaled: dict[str, np.ndarray],
@@ -234,10 +247,10 @@ def sgd_step(params: dict[str, Parameter], unscaled: dict[str, np.ndarray],
     swamping.  The momentum buffer stays f32 in both arms to isolate the
     master-copy variable.
     """
-    if not lr > 0:
-        raise ValueError("lr must be positive")
-    if not 0 <= momentum < 1:
-        raise ValueError("momentum must be in [0, 1)")
+    if not lr_ok(lr):
+        raise ValueError(f"lr must be finite and positive as an f32, got {lr}")
+    if not momentum_ok(momentum):
+        raise ValueError(f"momentum must be in [0, 1) as an f32, got {momentum}")
     for name, p in params.items():
         g = unscaled[name]
         if not np.isfinite(g).all():
@@ -259,7 +272,7 @@ GradObserver = Callable[[int, nn.Gradients, dict[str, np.ndarray]], None]
 
 
 def train_step(model: nn.Model, params: dict[str, Parameter], inputs: Tensor,
-               targets, policy: TrainingPolicy, lr: float,
+               targets: Tensor, policy: TrainingPolicy, lr: float,
                momentum: float = 0.0, nesterov: bool = False,
                iteration: int = 0,
                observer: Optional[GradObserver] = None) -> StepReport:
@@ -275,7 +288,7 @@ def train_step(model: nn.Model, params: dict[str, Parameter], inputs: Tensor,
     bind_parameters(model, params, policy)
 
     x = T.cast(inputs, pdtype)
-    tgt = T.cast(targets, pdtype) if isinstance(targets, Tensor) else targets
+    tgt = T.cast(targets, pdtype)
 
     loss, tape = nn.forward(model, x, tgt, policy.precision, train=True)
     # the loss is computed before scaling, so no scale can make it non-finite

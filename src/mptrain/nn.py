@@ -491,7 +491,7 @@ class LabelError(ValueError):
 
 
 class LossLayer(Layer):
-    def loss(self, pred: Tensor, targets, policy, rec: TapeEntry) -> float:
+    def loss(self, pred: Tensor, targets: Tensor, policy, rec: TapeEntry) -> float:
         raise NotImplementedError
 
     def loss_grad(self, seed: float, policy, rec: TapeEntry) -> Tensor:
@@ -506,8 +506,7 @@ class SoftmaxCrossEntropy(LossLayer):
         zw = pred.widen()
         if zw.ndim != 2:
             raise ShapeError(f"SoftmaxCrossEntropy expected [batch,classes], got {zw.shape}")
-        labels = (targets.widen() if isinstance(targets, Tensor)
-                  else np.asarray(targets)).astype(np.int64).reshape(-1)
+        labels = targets.widen().astype(np.int64).reshape(-1)
         if labels.min() < 0 or labels.max() >= zw.shape[1]:
             raise LabelError(f"labels must lie in [0, {zw.shape[1]}), got "
                              f"[{labels.min()}, {labels.max()}]")
@@ -538,8 +537,7 @@ class MeanSquaredError(LossLayer):
     """Mean of squared residuals over every element."""
 
     def loss(self, pred, targets, policy, rec):
-        tw = targets.widen() if isinstance(targets, Tensor) else np.asarray(
-            targets, dtype=np.float32)
+        tw = targets.widen()
         pw = pred.widen()
         if pw.shape != tw.shape:
             raise ShapeError(f"MeanSquaredError prediction {pw.shape} vs target {tw.shape}")
@@ -574,15 +572,11 @@ class Model:
     def init_values(self, seed: int) -> dict[str, np.ndarray]:
         return _keyed(lay.init_values(seed, i) for i, lay in enumerate(self.layers))
 
-    def bind_f32(self, values: dict[str, np.ndarray]) -> None:
-        for key, arr in values.items():
-            self.params[key] = T.store(arr, DType.F32)
-
     def spec_strings(self) -> list[str]:
         return [lay.spec_string() for lay in self.layers]
 
 
-def forward(model: Model, inputs: Tensor, targets, policy: PrecisionPolicy,
+def forward(model: Model, inputs: Tensor, targets: Tensor, policy: PrecisionPolicy,
             train: bool = True) -> tuple[float, ActivationTape]:
     """Run the stack, returning the f32 loss and the tape for backward."""
     if inputs.dtype is not policy.compute_dtype:

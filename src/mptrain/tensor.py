@@ -26,7 +26,7 @@ import struct
 import subprocess
 import tempfile
 import warnings
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,11 +85,6 @@ class Tensor:
             return b16.to_f32_array(self.data)
         return self.data
 
-    def item(self) -> float:
-        if self.size != 1:
-            raise ValueError("item() requires a single-element tensor")
-        return float(self.widen().reshape(()))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.value})"
 
@@ -109,20 +104,6 @@ def store(values: np.ndarray, dtype: DType) -> Tensor:
 def zeros(shape: Sequence[int], dtype: DType) -> Tensor:
     shape = tuple(int(d) for d in shape)
     return Tensor(np.zeros(shape, dtype=_STORAGE[dtype]), dtype)
-
-
-def full(shape: Sequence[int], dtype: DType, value: float) -> Tensor:
-    shape = tuple(int(d) for d in shape)
-    return store(np.full(shape, value, dtype=np.float32), dtype)
-
-
-def from_values(shape: Sequence[int], dtype: DType, values: Iterable[float]) -> Tensor:
-    shape = tuple(int(d) for d in shape)
-    flat = np.asarray(list(values), dtype=np.float32)
-    expected = int(np.prod(shape, dtype=np.int64))
-    if flat.size != expected:
-        raise ValueError(f"got {flat.size} values for shape {shape} ({expected})")
-    return store(flat.reshape(shape), dtype)
 
 
 def cast(t: Tensor, dtype: DType) -> Tensor:
@@ -283,15 +264,6 @@ def take(t: Tensor, indices: np.ndarray) -> Tensor:
     """The rows of t at indices, along axis 0."""
     return Tensor(np.take(t.data, np.asarray(indices, dtype=np.int64), axis=0),
                   t.dtype)
-
-
-def bits_equal(a: Tensor, b: Tensor) -> bool:
-    """Bit-pattern equality (distinguishes -0/+0, compares NaNs equal)."""
-    if a.shape != b.shape or a.dtype is not b.dtype:
-        return False
-    if a.dtype is DType.F16:
-        return bool(np.array_equal(a.data, b.data))
-    return bool(np.array_equal(a.data.view(np.uint32), b.data.view(np.uint32)))
 
 
 # ---------------------------------------------------------------------------

@@ -236,14 +236,8 @@ _FORWARD_F64 = {
 }
 
 
-def _f64(targets) -> np.ndarray:
-    if isinstance(targets, T.Tensor):
-        return targets.widen().astype(np.float64)
-    return np.asarray(targets, dtype=np.float64)
-
-
-def _softmax_cross_entropy(pred, targets) -> float:
-    labels = _f64(targets).astype(np.int64).reshape(-1)
+def _softmax_cross_entropy(pred, targets: T.Tensor) -> float:
+    labels = targets.widen().astype(np.int64).reshape(-1)
     m = pred.max(axis=1, keepdims=True)
     logsum = np.log(np.exp(pred - m).sum(axis=1)) + m[:, 0]
     return float(np.mean(logsum - pred[np.arange(pred.shape[0]), labels]))
@@ -251,12 +245,13 @@ def _softmax_cross_entropy(pred, targets) -> float:
 
 _LOSS_F64 = {
     nn.SoftmaxCrossEntropy: _softmax_cross_entropy,
-    nn.MeanSquaredError: lambda pred, targets: float(np.mean((pred - _f64(targets)) ** 2)),
+    nn.MeanSquaredError: lambda pred, targets: float(
+        np.mean((pred - targets.widen().astype(np.float64)) ** 2)),
 }
 
 
 def loss_ref_f64(model: nn.Model, values: dict[str, np.ndarray],
-                 inputs: np.ndarray, targets) -> float:
+                 inputs: np.ndarray, targets: T.Tensor) -> float:
     """The model's loss in float64 at `values`, keyed like model.params."""
     x = np.asarray(inputs, dtype=np.float64)
     for i, lay in enumerate(model.layers[:-1]):
@@ -267,7 +262,7 @@ def loss_ref_f64(model: nn.Model, values: dict[str, np.ndarray],
     return _LOSS_F64[type(model.layers[-1])](x, targets)
 
 
-def grad_check(model: nn.Model, inputs: T.Tensor, targets,
+def grad_check(model: nn.Model, inputs: T.Tensor, targets: T.Tensor,
                epsilon: float = 1e-5) -> float:
     """Worst relative error between analytic gradients (f32 baseline
     policy) and central differences of the f64 reference loss."""

@@ -24,6 +24,7 @@ from mptrain import tensor as T
 from mptrain.io_cli import Config, RunConfig
 from mptrain.tensor import AccumMode, DType
 
+import helpers
 import oracles
 
 
@@ -116,7 +117,7 @@ def test_criterion_01_binary16_oracle():
     # round-trip identity over all 65536 patterns (non-NaN)
     for h in range(0x10000):
         back = b16.from_f32(b16.to_f32(h))
-        if b16.is_nan(h):
+        if (h & b16.EXP_MASK) == b16.EXP_MASK and h & b16.MANT_MASK:  # NaN
             assert back == b16.CANONICAL_NAN
         else:
             assert back == h
@@ -153,14 +154,14 @@ def test_criterion_03_swamping():
     update = 2.0**-12
     grad = {"w": np.array([[-update]], dtype=np.float32)}
 
-    p16 = {"w": eng.Parameter("w", T.from_values([1, 1], DType.F32, [1.0]))}
+    p16 = {"w": eng.Parameter("w", helpers.from_values([1, 1], DType.F32, [1.0]))}
     start_bits = p16["w"].shadow.data.copy()
     for _ in range(1000):
         eng.sgd_step(p16, grad, lr=1.0, momentum=0.0, use_master=False)
     assert np.array_equal(p16["w"].shadow.data, start_bits), \
         "fp16-only updates should leave the weight bit-identical"
 
-    p32 = {"w": eng.Parameter("w", T.from_values([1, 1], DType.F32, [1.0]))}
+    p32 = {"w": eng.Parameter("w", helpers.from_values([1, 1], DType.F32, [1.0]))}
     for _ in range(1000):
         eng.sgd_step(p32, grad, lr=1.0, momentum=0.0, use_master=True)
     expected = np.float32(1.0 + 1000 * update)
@@ -174,10 +175,10 @@ def test_criterion_03_swamping():
 
 @criterion(4, "dot of 4096 ones: 2048 under Acc16, 4096 under Acc32")
 def test_criterion_04_accumulation():
-    row = T.full([1, 4096], DType.F16, 1.0)
-    col = T.full([4096, 1], DType.F16, 1.0)
-    assert T.matmul(row, col, AccumMode.ACC16, DType.F16).item() == 2048.0
-    assert T.matmul(row, col, AccumMode.ACC32, DType.F16).item() == 4096.0
+    row = helpers.full([1, 4096], DType.F16, 1.0)
+    col = helpers.full([4096, 1], DType.F16, 1.0)
+    assert helpers.item(T.matmul(row, col, AccumMode.ACC16, DType.F16)) == 2048.0
+    assert helpers.item(T.matmul(row, col, AccumMode.ACC32, DType.F16)) == 4096.0
 
 
 # --------------------------------------------------------------------------
@@ -217,11 +218,7 @@ def test_criterion_05_loss_scaling_rescue(tmp_path):
     eng.train_step(model, params, x, y,
                    eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(1.0)),
                    lr=0.5, observer=lambda i, g, u: captured.update(g=g))
-    act = None
-    for a in captured["g"].activations:
-        if a is not None:
-            h = diag.histogram(a)
-            act = h if act is None else diag.merge(act, h)
+    act = diag.merged(captured["g"].activations)
     below = act.fraction_zero() + act.fraction_below(-24)
     assert below >= 0.5, f"only {below:.2%} of activation grads under 2^-24"
 
@@ -356,11 +353,11 @@ def test_criterion_08_dynamic_scaler():
     # natural overflow: 256*256 = 65536 saturates the f16 store to inf
     model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
     params = {"0.weight": eng.Parameter(
-        "0.weight", T.from_values([1, 1], DType.F32, [256.0]))}
+        "0.weight", helpers.from_values([1, 1], DType.F32, [256.0]))}
     policy = eng.TrainingPolicy(nn.MP_POLICY,
                                 scaler=eng.DynamicScale(init_scale=1024.0))
-    x = T.from_values([1, 1], DType.F32, [256.0])
-    t = T.from_values([1, 1], DType.F32, [0.0])
+    x = helpers.from_values([1, 1], DType.F32, [256.0])
+    t = helpers.from_values([1, 1], DType.F32, [0.0])
     master_before = params["0.weight"].master.data.copy()
     shadow_before = params["0.weight"].shadow.data.copy()
     report = eng.train_step(model, params, x, t, policy, lr=0.1)
@@ -372,12 +369,12 @@ def test_criterion_08_dynamic_scaler():
     # 2000 consecutive clean steps double the scale, exactly at step 2000
     model = nn.Model([nn.Linear(2, 1, bias=False), nn.MeanSquaredError()])
     params = {"0.weight": eng.Parameter(
-        "0.weight", T.from_values([2, 1], DType.F32, [0.5, -0.25]))}
+        "0.weight", helpers.from_values([2, 1], DType.F32, [0.5, -0.25]))}
     policy = eng.TrainingPolicy(nn.MP_POLICY,
                                 scaler=eng.DynamicScale(init_scale=1024.0))
     assert policy.scaler.growth_interval == 2000
-    x = T.from_values([4, 2], DType.F32, [1.0, 0.5, -0.5, 1.0, 0.25, -1.0, 0.75, 0.125])
-    t = T.from_values([4, 1], DType.F32, [0.1, -0.2, 0.05, 0.3])
+    x = helpers.from_values([4, 2], DType.F32, [1.0, 0.5, -0.5, 1.0, 0.25, -1.0, 0.75, 0.125])
+    t = helpers.from_values([4, 1], DType.F32, [0.1, -0.2, 0.05, 0.3])
     for i in range(1999):
         r = eng.train_step(model, params, x, t, policy, lr=0.01, iteration=i)
         assert not r.overflow
@@ -399,15 +396,15 @@ def test_criterion_09_gradient_correctness():
 
     ff = nn.Model([nn.Linear(4, 3), nn.Tanh(), nn.Linear(3, 2),
                    nn.SoftmaxCrossEntropy()])
-    ff.bind_f32(ff.init_values(9))
+    helpers.bind_f32(ff, ff.init_values(9))
     x = T.store(rng.normal(0, 1, (6, 4)).astype(np.float32), DType.F32)
-    labels = rng.integers(0, 2, 6)
+    labels = T.store(rng.integers(0, 2, 6).astype(np.float32), DType.F32)
     err = oracles.grad_check(ff, x, labels)
     assert err < 1e-4, f"feedforward max relative error {err:.2e}"
 
     conv = nn.Model([nn.Conv2d(2, 3, 3, 3, stride=1, pad=1), nn.LeakyReLU(0.1),
                      nn.MeanSquaredError()])
-    conv.bind_f32(conv.init_values(10))
+    helpers.bind_f32(conv, conv.init_values(10))
     cx = T.store(rng.normal(0, 1, (2, 2, 5, 5)).astype(np.float32), DType.F32)
     ct = T.store(rng.normal(0, 1, (2, 3, 5, 5)).astype(np.float32), DType.F32)
     err = oracles.grad_check(conv, cx, ct)
@@ -415,9 +412,9 @@ def test_criterion_09_gradient_correctness():
 
     lstm = nn.Model([nn.LSTMCell(3, 4), nn.Linear(4, 2),
                      nn.SoftmaxCrossEntropy()])
-    lstm.bind_f32(lstm.init_values(11))
+    helpers.bind_f32(lstm, lstm.init_values(11))
     sx = T.store(rng.normal(0, 1, (5, 3, 3)).astype(np.float32), DType.F32)
-    slabels = rng.integers(0, 2, 5)
+    slabels = T.store(rng.integers(0, 2, 5).astype(np.float32), DType.F32)
     err = oracles.grad_check(lstm, sx, slabels)
     assert err < 1e-3, f"3-step LSTM max relative error {err:.2e}"
 
@@ -489,7 +486,7 @@ def test_criterion_11_scale_neutrality():
         params = eng.make_parameters(model, 21)
         rng = np.random.default_rng(21)
         x = T.store(rng.normal(0, 1, (16, 4)).astype(np.float32), DType.F32)
-        labels = rng.integers(0, 2, 16)
+        labels = T.store(rng.integers(0, 2, 16).astype(np.float32), DType.F32)
         policy = eng.TrainingPolicy(scaler=eng.ConstantScale(scale))
         report = eng.train_step(model, params, x, labels, policy,
                                 lr=0.1, momentum=0.9)

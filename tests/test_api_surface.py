@@ -1,28 +1,41 @@
-"""Guard against dead public functions and methods.
+"""Guard against public API that no run reaches.
 
 Every public function defined in the mptrain modules, and every public
-method of the classes they define, must be named, as a whole word,
-somewhere in src/ or tests/ other than a `def` line of that name.
-A function nothing calls or tests is deleted rather than kept.
+method of the classes they define, must be referenced by code in src/
+or perfbench/: a name, an import, or an attribute of anything but
+numpy.  Strings, comments, test files and numpy's own attributes (say
+`np.full`) do not count, so a function only tests call is moved into
+the tests or deleted rather than kept in the package.
 """
 
+import ast
 import inspect
 import pathlib
-import re
 
 from mptrain import binary16, diagnostics, io_cli, mp_engine, nn, tensor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = (binary16, tensor, nn, mp_engine, diagnostics, io_cli)
+NUMPY = ("np", "numpy")
 
 
-def _source_lines() -> list[str]:
-    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
-    lines = []
-    for path in paths:
-        if path.resolve() != pathlib.Path(__file__).resolve():
-            lines += path.read_text().splitlines()
-    return lines
+def _referenced_names() -> set[str]:
+    """Every name that code outside the test files of src/ and
+    perfbench/ loads, imports or reads as an attribute."""
+    names = set()
+    for folder in ("src", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+                elif isinstance(node, ast.Attribute) and not (
+                        isinstance(node.value, ast.Name) and node.value.id in NUMPY):
+                    names.add(node.attr)
+    return names
 
 
 def _public_callables(mod):
@@ -42,13 +55,8 @@ def _public_callables(mod):
 
 
 def test_every_public_function_is_referenced():
-    lines = _source_lines()
-    unreferenced = []
-    for mod in MODULES:
-        for name, qualified in _public_callables(mod):
-            word = re.compile(rf"\b{name}\b")
-            own_def = re.compile(rf"^\s*def {name}\(")
-            if not any(word.search(line) and not own_def.match(line)
-                       for line in lines):
-                unreferenced.append(qualified)
+    names = _referenced_names()
+    unreferenced = [qualified for mod in MODULES
+                    for name, qualified in _public_callables(mod)
+                    if name not in names]
     assert unreferenced == []

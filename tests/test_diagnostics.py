@@ -11,6 +11,8 @@ from mptrain import nn
 from mptrain import tensor as T
 from mptrain.tensor import DType
 
+import helpers
+
 
 def brute_force_bins(t):
     """Scalar recount, straight off the definition."""
@@ -35,7 +37,7 @@ def test_all_zero_tensor():
 
 
 def test_known_bins():
-    t = T.from_values([3], DType.F32, [1.0, 1.5, 2.0])
+    t = helpers.from_values([3], DType.F32, [1.0, 1.5, 2.0])
     h = diag.histogram(t)
     assert h.bins == {0: 2, 1: 1}
     assert h.max_abs == 2.0
@@ -68,32 +70,26 @@ def test_bins_match_brute_force_f32_and_subnormals():
 
 
 def test_nonfinite_counted():
-    t = T.from_values([4], DType.F16, [float("inf"), float("nan"), 1.0, 0.0])
+    t = helpers.from_values([4], DType.F16, [float("inf"), float("nan"), 1.0, 0.0])
     h = diag.histogram(t)
     assert h.nonfinite_count == 2 and h.zero_count == 1 and h.bins == {0: 1}
     h.check()
 
 
-def test_merge_identity_and_commutativity():
+def test_merged_sums_the_single_histograms():
     rng = np.random.default_rng(2)
-    a = diag.histogram(T.store(rng.normal(0, 1, 500).astype(np.float32), DType.F16))
-    b = diag.histogram(T.store(rng.normal(0, 1e-7, 500).astype(np.float32), DType.F16))
-    e = diag.ExponentHistogram(DType.F16)
-
-    assert diag.merge(a, e) == a
-    ab, ba = diag.merge(a, b), diag.merge(b, a)
-    assert ab == ba
-    assert ab.total == 1000
-
-    c = diag.histogram(T.store(rng.normal(0, 100, 500).astype(np.float32), DType.F16))
-    assert diag.merge(diag.merge(a, b), c) == diag.merge(a, diag.merge(b, c))
-
-
-def test_merge_rejects_dtype_mismatch():
-    a = diag.ExponentHistogram(DType.F16)
-    b = diag.ExponentHistogram(DType.F32)
-    with pytest.raises(ValueError):
-        diag.merge(a, b)
+    a = T.store(rng.normal(0, 1, 500).astype(np.float32), DType.F16)
+    b = T.store(rng.normal(0, 1e-7, (20, 25)).astype(np.float32), DType.F16)
+    c = helpers.from_values([4], DType.F16, [float("inf"), float("nan"), 0.0, -0.0])
+    singles = [diag.histogram(t) for t in (a, b, c)]
+    h = diag.merged([a, None, b, c])
+    assert h.total == sum(s.total for s in singles) == 1004
+    assert h.zero_count == sum(s.zero_count for s in singles)
+    assert h.nonfinite_count == sum(s.nonfinite_count for s in singles) == 2
+    exps = set().union(*(s.bins for s in singles))
+    assert h.bins == {e: sum(s.bins.get(e, 0) for s in singles) for e in exps}
+    assert h.max_abs == max(s.max_abs for s in singles)
+    assert diag.merged([None, None]) is None
 
 
 def test_constructed_zero_fraction():
@@ -161,7 +157,7 @@ def test_hook_purity_trajectories_identical(tmp_path):
         params = eng.make_parameters(model, 5)
         rng = np.random.default_rng(5)
         x = T.store(rng.normal(0, 1, (16, 4)).astype(np.float32), DType.F32)
-        labels = rng.integers(0, 2, 16)
+        labels = T.store(rng.integers(0, 2, 16).astype(np.float32), DType.F32)
         policy = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(8.0))
         reports = []
         for i in range(10):
@@ -174,4 +170,4 @@ def test_hook_purity_trajectories_identical(tmp_path):
     hooked, params_b = run(diag.SampleHook(tmp_path, "p"))
     assert plain == hooked
     for k in params_a:
-        assert T.bits_equal(params_a[k].master, params_b[k].master)
+        assert helpers.bits_equal(params_a[k].master, params_b[k].master)

@@ -15,6 +15,8 @@ from mptrain import nn
 from mptrain import tensor as T
 from mptrain.io_cli import Config, ConfigError, DataError, RunConfig
 
+import helpers
+
 
 BASE_CONFIG = """
 [run]
@@ -207,9 +209,9 @@ def test_synthetic_classify_bundle():
     assert set(np.unique(labels)) <= {0, 1, 2, 3}
     # same seed reproduces bit-identically, different seed does not
     again = io_cli.task_synthetic_classify(3)
-    assert T.bits_equal(bundle.train.inputs, again.train.inputs)
+    assert helpers.bits_equal(bundle.train.inputs, again.train.inputs)
     other = io_cli.task_synthetic_classify(4)
-    assert not T.bits_equal(bundle.train.inputs, other.train.inputs)
+    assert not helpers.bits_equal(bundle.train.inputs, other.train.inputs)
 
 
 def test_underflow_task_construction():
@@ -241,12 +243,7 @@ def test_underflow_task_gradients_flush_at_scale_1():
     policy = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(1.0))
     eng.train_step(model, params, x, y, policy, lr=0.5, observer=observer)
 
-    act_h = None
-    for a in captured["grads"].activations:
-        if a is None:
-            continue
-        h = diag.histogram(a)
-        act_h = h if act_h is None else diag.merge(act_h, h)
+    act_h = diag.merged(captured["grads"].activations)
     assert act_h.fraction_zero() + act_h.fraction_below(-24) >= 0.5
     # nearly everything flushes; a sub-percent sliver rounds up to 2^-24
     assert act_h.fraction_zero() >= 0.99
@@ -732,6 +729,21 @@ def test_cli_unwritable_output_path_exits_1_with_one_line(make_argv, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert str(tmp_path) in err
+
+
+def test_cli_config_not_utf8_exits_1_with_one_line(tmp_path, capsys):
+    (tmp_path / "u16.cfg").write_bytes(b"\xff\xfe[\x00r\x00u\x00n\x00]\x00")
+    assert io_cli.main(["train", str(tmp_path / "u16.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_cli_gendata_seed_out_of_range_exits_1_with_one_line(seed, tmp_path, capsys):
+    assert io_cli.main(["gendata", str(tmp_path / "d"), "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --seed") and err.count("\n") == 1
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_compare(tmp_path, capsys):

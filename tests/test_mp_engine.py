@@ -9,6 +9,7 @@ from mptrain import nn
 from mptrain import tensor as T
 from mptrain.tensor import AccumMode, DType
 
+import helpers
 import oracles
 
 
@@ -37,14 +38,14 @@ def shadows_snapshot(params):
 # --- sync_shadow ------------------------------------------------------------
 
 def test_sync_shadow_oracle_values():
-    p = eng.Parameter("w", T.from_values([1], DType.F32, [1.0005]))
+    p = eng.Parameter("w", helpers.from_values([1], DType.F32, [1.0005]))
     expected = oracles.half_from_float(float(np.float32(1.0005)))
     assert p.shadow.data[0] == expected
 
-    p2 = eng.Parameter("w", T.from_values([1], DType.F32, [2.0**-26]))
+    p2 = eng.Parameter("w", helpers.from_values([1], DType.F32, [2.0**-26]))
     assert p2.shadow.data[0] == 0x0000
 
-    p3 = eng.Parameter("w", T.from_values([1], DType.F32, [1.5]))
+    p3 = eng.Parameter("w", helpers.from_values([1], DType.F32, [1.5]))
     assert p3.shadow.data[0] == b16.from_f32(1.5)
     p3.sync_shadow()
     assert p3.shadow.data[0] == b16.from_f32(1.5)
@@ -72,7 +73,7 @@ def test_unscale_exact_powers_of_two():
     out = eng.unscale(g, 8.0)
     assert out["w"][0] == 2.0**-23
 
-    gi = nn.Gradients({"w": T.from_values([1], DType.F16, [float("inf")])}, [])
+    gi = nn.Gradients({"w": helpers.from_values([1], DType.F16, [float("inf")])}, [])
     assert math.isinf(eng.unscale(gi, 1024.0)["w"][0])
 
     g1 = eng.unscale(g, 1.0)
@@ -206,6 +207,15 @@ def test_sgd_f32_small_updates_accumulate():
     assert (params["0.weight"].master.data == np.float32(1.0) - np.float32(2.0**-20)).all()
 
 
+@pytest.mark.parametrize("lr,momentum", [(1e-50, 0.0), (0.1, 0.99999999)])
+def test_sgd_checks_lr_and_momentum_as_f32(lr, momentum):
+    # 1e-50 rounds to f32 0 and 0.99999999 to f32 1.0
+    _, params = tiny_model(seed=5)
+    g = {k: np.full(p.master.shape, 0.5, np.float32) for k, p in params.items()}
+    with pytest.raises(ValueError):
+        eng.sgd_step(params, g, lr=lr, momentum=momentum)
+
+
 def test_sgd_rejects_nonfinite():
     _, params = tiny_model(seed=5)
     g = {k: np.full(p.master.shape, np.nan, np.float32) for k, p in params.items()}
@@ -245,11 +255,11 @@ def test_train_step_overflow_skips_and_halves_scale():
     # propagates into the weight gradients
     model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
     params = {"0.weight": eng.Parameter("0.weight",
-                                        T.from_values([1, 1], DType.F32, [256.0]))}
+                                        helpers.from_values([1, 1], DType.F32, [256.0]))}
     policy = eng.TrainingPolicy(nn.MP_POLICY,
                                 scaler=eng.DynamicScale(init_scale=1024.0))
-    x = T.from_values([1, 1], DType.F32, [256.0])
-    t = T.from_values([1, 1], DType.F32, [0.0])
+    x = helpers.from_values([1, 1], DType.F32, [256.0])
+    t = helpers.from_values([1, 1], DType.F32, [0.0])
 
     before_master = masters_snapshot(params)
     before_shadow = shadows_snapshot(params)
@@ -265,10 +275,10 @@ def test_train_step_overflow_skips_and_halves_scale():
 def test_train_step_constant_scale_overflow_warns_and_skips():
     model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
     params = {"0.weight": eng.Parameter("0.weight",
-                                        T.from_values([1, 1], DType.F32, [256.0]))}
+                                        helpers.from_values([1, 1], DType.F32, [256.0]))}
     policy = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(8.0))
-    x = T.from_values([1, 1], DType.F32, [256.0])
-    t = T.from_values([1, 1], DType.F32, [0.0])
+    x = helpers.from_values([1, 1], DType.F32, [256.0])
+    t = helpers.from_values([1, 1], DType.F32, [0.0])
     before = masters_snapshot(params)
     with pytest.warns(UserWarning):
         rep = eng.train_step(model, params, x, t, policy, lr=0.1)
@@ -295,7 +305,7 @@ def test_swamping_ablation_fp16_updates_stall():
     def build(use_master):
         model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
         params = {"0.weight": eng.Parameter(
-            "0.weight", T.from_values([1, 1], DType.F32, [1.0]))}
+            "0.weight", helpers.from_values([1, 1], DType.F32, [1.0]))}
         return model, params
 
     update = 2.0**-12
@@ -366,13 +376,13 @@ def test_clipped_step_computes_global_norm_once(monkeypatch):
 def test_nonfinite_loss_in_baseline_raises():
     # f32 precision raises under any scaler: the loss is computed before
     # scaling, so only broken numerics make it non-finite
-    x = T.from_values([1, 1], DType.F32, [1e30])
-    t = T.from_values([1, 1], DType.F32, [0.0])
+    x = helpers.from_values([1, 1], DType.F32, [1e30])
+    t = helpers.from_values([1, 1], DType.F32, [0.0])
     for policy in (eng.TrainingPolicy(),
                    eng.TrainingPolicy(scaler=eng.ConstantScale(8.0))):
         model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
         params = {"0.weight": eng.Parameter(
-            "0.weight", T.from_values([1, 1], DType.F32, [1e30]))}
+            "0.weight", helpers.from_values([1, 1], DType.F32, [1e30]))}
         with pytest.raises(eng.NumericalError):
             eng.train_step(model, params, x, t, policy, lr=0.1)
 
@@ -399,7 +409,7 @@ def test_checkpoint_roundtrip(tmp_path):
     model2, params2 = eng.load_checkpoint(path)
     assert model2.spec_strings() == model.spec_strings()
     for k, p in params.items():
-        assert T.bits_equal(p.master, params2[k].master)
+        assert helpers.bits_equal(p.master, params2[k].master)
         assert np.array_equal(p.momentum_buf, params2[k].momentum_buf)
 
     # training continues identically from the restored state
@@ -409,7 +419,7 @@ def test_checkpoint_roundtrip(tmp_path):
                         lr=0.1, momentum=0.9, iteration=3)
     assert r1.loss == r2.loss
     for k in params:
-        assert T.bits_equal(params[k].master, params2[k].master)
+        assert helpers.bits_equal(params[k].master, params2[k].master)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from mptrain import binary16 as b16
 from mptrain import tensor as T
 
+import helpers
 import oracles
 
 
@@ -19,16 +20,16 @@ def test_zeros_and_full():
     assert z.shape == (2, 3)
     assert (z.data == 0).all()
 
-    tiny = T.full([1], T.DType.F16, 1e-9)
+    tiny = helpers.full([1], T.DType.F16, 1e-9)
     assert tiny.data[0] == 0x0000  # underflows on store
 
-    v = T.from_values([2], T.DType.F32, [1.5, -2.0])
+    v = helpers.from_values([2], T.DType.F32, [1.5, -2.0])
     assert v.data.tolist() == [1.5, -2.0]
 
 
 def test_from_values_length_mismatch():
     with pytest.raises(ValueError):
-        T.from_values([3], T.DType.F32, [1.0, 2.0])
+        helpers.from_values([3], T.DType.F32, [1.0, 2.0])
 
 
 def test_bad_shape():
@@ -37,13 +38,13 @@ def test_bad_shape():
 
 
 def test_cast_roundtrip_and_boundaries():
-    x = T.from_values([3], T.DType.F16, [1.0, -2.5, 0.1])
+    x = helpers.from_values([3], T.DType.F16, [1.0, -2.5, 0.1])
     wide = T.cast(x, T.DType.F32)
     back = T.cast(wide, T.DType.F16)
-    assert T.bits_equal(x, back)
+    assert helpers.bits_equal(x, back)
 
-    assert T.cast(T.from_values([1], T.DType.F32, [65536.0]), T.DType.F16).data[0] == b16.POS_INF
-    assert T.cast(T.from_values([1], T.DType.F32, [2.0**-26]), T.DType.F16).data[0] == 0x0000
+    edges = helpers.from_values([2], T.DType.F32, [65536.0, 2.0**-26])
+    assert list(T.cast(edges, T.DType.F16).data) == [b16.POS_INF, 0x0000]
 
 
 def test_store_then_read_identity():
@@ -51,29 +52,30 @@ def test_store_then_read_identity():
     vals = rng.normal(0, 4, (13, 7)).astype(np.float32)
     t = T.store(vals, T.DType.F16)
     again = T.Tensor(t.data.copy(), T.DType.F16)
-    assert T.bits_equal(t, again)
+    assert helpers.bits_equal(t, again)
     assert t.data.flags.writeable is False
 
 
 def test_matmul_ones_accumulation():
-    ones_row = T.full([1, 4096], T.DType.F16, 1.0)
-    ones_col = T.full([4096, 1], T.DType.F16, 1.0)
+    ones_row = helpers.full([1, 4096], T.DType.F16, 1.0)
+    ones_col = helpers.full([4096, 1], T.DType.F16, 1.0)
 
     acc16 = T.matmul(ones_row, ones_col, T.AccumMode.ACC16, T.DType.F16)
-    assert acc16.item() == 2048.0
+    assert helpers.item(acc16) == 2048.0
 
     acc32 = T.matmul(ones_row, ones_col, T.AccumMode.ACC32, T.DType.F16)
-    assert acc32.item() == 4096.0
+    assert helpers.item(acc32) == 4096.0
 
 
 def test_matmul_1x1_equals_h_mul():
     rng = np.random.default_rng(1)
     vals = rng.normal(0, 3, 50).astype(np.float32)
     for a, b in zip(vals[0::2], vals[1::2]):
-        ta = T.from_values([1, 1], T.DType.F16, [float(a)])
-        tb = T.from_values([1, 1], T.DType.F16, [float(b)])
+        ta = helpers.from_values([1, 1], T.DType.F16, [float(a)])
+        tb = helpers.from_values([1, 1], T.DType.F16, [float(b)])
         got = T.matmul(ta, tb, T.AccumMode.ACC16, T.DType.F16)
-        assert got.data[0, 0] == b16.h_mul(int(ta.data[0, 0]), int(tb.data[0, 0]))
+        assert got.data[0, 0] == oracles.half_mul(int(ta.data[0, 0]),
+                                                   int(tb.data[0, 0]))
 
 
 def _scalar_acc16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,7 +129,8 @@ def test_matmul_acc32_matches_scalar_loop():
 
 def test_matmul_acc16_equals_hmul_hadd_chain_on_exact_products():
     # with power-of-two operands every product is exact in f16, so the
-    # fused model and a h_mul/h_add chain coincide bit for bit
+    # fused model and a chain of correctly rounded binary16 multiplies
+    # and adds coincide bit for bit
     rng = np.random.default_rng(4)
     choices = np.array([0.25, 0.5, 1.0, 2.0, 4.0, -0.5, -1.0, -2.0], dtype=np.float32)
     a = T.store(rng.choice(choices, (2, 9)), T.DType.F16)
@@ -137,7 +140,8 @@ def test_matmul_acc16_equals_hmul_hadd_chain_on_exact_products():
         for j in range(3):
             acc = 0x0000
             for p in range(9):
-                acc = b16.h_add(acc, b16.h_mul(int(a.data[i, p]), int(b.data[p, j])))
+                acc = oracles.half_add(
+                    acc, oracles.half_mul(int(a.data[i, p]), int(b.data[p, j])))
             assert got.data[i, j] == acc
 
 
@@ -172,26 +176,26 @@ def test_matmul_shape_and_dtype_errors():
 
 
 def test_matmul_nonfinite_propagates():
-    a = T.from_values([1, 2], T.DType.F16, [65504.0, 65504.0])
-    b = T.from_values([2, 1], T.DType.F16, [65504.0, 65504.0])
+    a = helpers.from_values([1, 2], T.DType.F16, [65504.0, 65504.0])
+    b = helpers.from_values([2, 1], T.DType.F16, [65504.0, 65504.0])
     out = T.matmul(a, b, T.AccumMode.ACC32, T.DType.F16)
     assert out.data[0, 0] == b16.POS_INF
 
     # ACC16 with an F32 result: inf + -inf is the canonical f32 NaN
-    a = T.from_values([1, 2], T.DType.F16, [np.inf, -np.inf])
-    b = T.from_values([2, 1], T.DType.F16, [1.0, 1.0])
+    a = helpers.from_values([1, 2], T.DType.F16, [np.inf, -np.inf])
+    b = helpers.from_values([2, 1], T.DType.F16, [1.0, 1.0])
     out = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F32)
     assert out.data.view(np.uint32)[0, 0] == 0x7FC00000
 
     # subnormal products (2^-24 kept, a later 2^-26 lost to the f16
     # accumulator) and -0 operands: the F32 result is the F16 one widened
-    a = T.from_values([2, 3], T.DType.F16,
+    a = helpers.from_values([2, 3], T.DType.F16,
                       [2.0**-12, 2.0**-14, -0.0, -0.0, 2.0**-13, 2.0**-24])
-    b = T.from_values([3, 2], T.DType.F16,
+    b = helpers.from_values([3, 2], T.DType.F16,
                       [2.0**-12, -1.0, 2.0**-12, -0.0, 3.0, 2.0**-10])
     wide = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F32)
     half = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F16)
-    assert T.bits_equal(wide, T.cast(half, T.DType.F32))
+    assert helpers.bits_equal(wide, T.cast(half, T.DType.F32))
     assert wide.data[0, 0] == np.float32(2.0**-24)
 
 
@@ -247,7 +251,7 @@ def test_matmul_kernel_matches_numpy_loop_bit_for_bit():
         a = _adversarial(rng, (m, k), dtype, rate)
         b = _adversarial(rng, (k, n), dtype, rate)
         got = T.matmul(a, b, mode, out_dtype)
-        assert T.bits_equal(got, T._matmul_loop(a, b, mode, out_dtype)), \
+        assert helpers.bits_equal(got, T._matmul_loop(a, b, mode, out_dtype)), \
             (case, dtype, mode, out_dtype, (m, k, n))
 
 
@@ -267,7 +271,7 @@ def test_matmul_without_kernel_warns_once_and_keeps_the_bits(monkeypatch):
     assert T._kernel() is None
     monkeypatch.undo()
     for out, mode in zip(got, (T.AccumMode.ACC16, T.AccumMode.ACC32)):
-        assert T.bits_equal(out, T.matmul(a, b, mode, T.DType.F32))
+        assert helpers.bits_equal(out, T.matmul(a, b, mode, T.DType.F32))
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -279,16 +283,16 @@ def test_matmul_kernel_compiles_without_warnings(tmp_path):
 
 
 def test_seq_sum_store_f32_accumulation():
-    ones = T.full([4096], T.DType.F16, 1.0)
+    ones = helpers.full([4096], T.DType.F16, 1.0)
     s = T.store(T.seq_sum(ones.widen()), T.DType.F16)
-    assert s.item() == 4096.0  # f32 accumulator, one store
+    assert helpers.item(s) == 4096.0  # f32 accumulator, one store
 
     s32 = T.store(T.seq_sum(ones.widen()), T.DType.F32)
-    assert s32.item() == 4096.0
+    assert helpers.item(s32) == 4096.0
 
 
 def test_seq_sum_store_axis():
-    x = T.from_values([2, 3], T.DType.F32, [1, 2, 3, 4, 5, 6])
+    x = helpers.from_values([2, 3], T.DType.F32, [1, 2, 3, 4, 5, 6])
     assert T.store(T.seq_sum(x.widen(), axis=0), x.dtype).data.tolist() == [5.0, 7.0, 9.0]
     assert T.store(T.seq_sum(x.widen(), axis=1), x.dtype).data.tolist() == [6.0, 15.0]
     with pytest.raises(ValueError):
@@ -358,13 +362,13 @@ def test_transpose_reshape_slice_preserve_bits():
 def test_random_normal_determinism():
     a = T.random_normal([32, 8], T.DType.F32, 0.0, 1.0, seed=42)
     b = T.random_normal([32, 8], T.DType.F32, 0.0, 1.0, seed=42)
-    assert T.bits_equal(a, b)
+    assert helpers.bits_equal(a, b)
 
     c = T.random_normal([32, 8], T.DType.F32, 0.0, 1.0, seed=43)
-    assert not T.bits_equal(a, c)
+    assert not helpers.bits_equal(a, c)
 
     d = T.random_normal([32, 8], T.DType.F32, 0.0, 1.0, seed=42, stream=1)
-    assert not T.bits_equal(a, d)
+    assert not helpers.bits_equal(a, d)
 
 
 def test_random_normal_stddev_zero_and_moments():
@@ -394,11 +398,11 @@ def test_serialization_roundtrip():
         T.write_tensor(buf, x)
         buf.seek(0)
         y = T.read_tensor(buf)
-        assert T.bits_equal(x, y)
+        assert helpers.bits_equal(x, y)
 
 
 def test_serialization_header_layout():
-    x = T.from_values([2], T.DType.F16, [1.0, -2.0])
+    x = helpers.from_values([2], T.DType.F16, [1.0, -2.0])
     buf = io.BytesIO()
     T.write_tensor(buf, x)
     raw = buf.getvalue()
@@ -414,7 +418,7 @@ def test_serialization_errors():
     with pytest.raises(ValueError):
         T.read_tensor(buf)
 
-    x = T.from_values([4], T.DType.F32, [1, 2, 3, 4])
+    x = helpers.from_values([4], T.DType.F32, [1, 2, 3, 4])
     out = io.BytesIO()
     T.write_tensor(out, x)
     truncated = io.BytesIO(out.getvalue()[:-4])
@@ -451,7 +455,7 @@ def test_views_share_memory_and_cannot_be_written():
 
 def test_read_tensor_short_header():
     buf = io.BytesIO()
-    T.write_tensor(buf, T.from_values([2, 2], T.DType.F16, [1, 2, 3, 4]))
+    T.write_tensor(buf, helpers.from_values([2, 2], T.DType.F16, [1, 2, 3, 4]))
     raw = buf.getvalue()
     for cut in (9, 12):  # inside the dtype/rank bytes, inside the dimensions
         with pytest.raises(ValueError, match="truncated tensor"):
