@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binary16 as b16
-from . import mp_engine
 from . import nn
 from .tensor import DType, Tensor
 
@@ -48,14 +47,6 @@ class ExponentHistogram:
                              f"{self.total}")
 
 
-@dataclass(frozen=True)
-class UnderflowReport:
-    fraction_zero: float
-    fraction_below: dict[int, float]
-    max_abs: float
-    recommended_scale: float
-
-
 def histogram(t: Tensor) -> ExponentHistogram:
     wide = t.widen()
     flat = wide.reshape(-1)
@@ -80,18 +71,6 @@ def merged(tensors) -> ExponentHistogram | None:
     (their exact f32 values, concatenated); None if there is none."""
     values = [t.widen().reshape(-1) for t in tensors if t is not None]
     return histogram(Tensor(np.concatenate(values), DType.F32)) if values else None
-
-
-def report(h: ExponentHistogram) -> UnderflowReport:
-    """fraction_below at 2^-24, the smallest f16 subnormal, and 2^-27."""
-    rec = (mp_engine.suggest_constant_scale(h.max_abs)
-           if h.max_abs > 0 else float("nan"))
-    return UnderflowReport(
-        fraction_zero=h.fraction_zero(),
-        fraction_below={e: h.fraction_below(e) for e in (-24, -27)},
-        max_abs=h.max_abs,
-        recommended_scale=rec,
-    )
 
 
 def write_csv(path, h: ExponentHistogram) -> None:

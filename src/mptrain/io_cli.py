@@ -482,7 +482,7 @@ class RunResult:
 def evaluate(model: nn.Model, ds: Dataset, policy: eng.TrainingPolicy,
              batch_size: int) -> tuple[float, float]:
     """Loss and accuracy over ds under the policy's precision, with the
-    inputs in the shape ds holds them (the shape the first layer takes).
+    inputs in the shape ds holds them (each first layer reads it its own way).
 
     Targets are cast like train_step casts them; class ids stay exact in
     f16 below 2048.  Labels of shape [B] are class ids, [B, C] one-hot.
@@ -531,10 +531,6 @@ def run(config: RunConfig) -> RunResult:
     ckpt_path = os.path.join(out_dir, "model.ckpt")
 
     train, val = bundle.train, bundle.val
-    if isinstance(model.layers[0], nn.Linear):
-        # one [N, features] view of each split, so batches need no reshape
-        train, val = (Dataset(T.reshape(d.inputs, (d.size, -1)), d.labels, d.split)
-                      for d in (train, val))
     bs = config.batch_size
     n_batches = train.size // bs
     if n_batches < 1:
@@ -792,13 +788,11 @@ def _cmd_histogram(args) -> int:
         raise DataError(f"{path}: checkpoint holds no parameters")
     out_dir = args.output_dir or os.path.dirname(os.path.abspath(path))
     merged = diag.merged(p.shadow for p in params.values())
-    rep = diag.report(merged)
     diag.write_csv(os.path.join(out_dir, "hist_checkpoint_weights.csv"), merged)
     print(f"parameters: {merged.total} values, fraction_zero="
-          f"{rep.fraction_zero:.4f}, max_abs={rep.max_abs:.6g}, "
-          f"recommended_scale={rep.recommended_scale:g}")
-    for e, frac in sorted(rep.fraction_below.items()):
-        print(f"fraction below 2^{e}: {frac:.4f}")
+          f"{merged.fraction_zero():.4f}, max_abs={merged.max_abs:.6g}")
+    for e in (-27, -24):  # 2^-24 is the smallest f16 subnormal
+        print(f"fraction below 2^{e}: {merged.fraction_below(e):.4f}")
     return 0
 
 

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import binary16 as b16
 from . import nn
 from . import tensor as T
 from .tensor import AccumMode, DType, Tensor
@@ -207,19 +206,6 @@ def clip_gradients(unscaled: dict[str, np.ndarray], threshold: float,
         factor = np.float32(threshold) / np.float32(norm)
         for arr in unscaled.values():
             arr *= factor
-
-
-def suggest_constant_scale(max_abs_grad: float) -> float:
-    """Largest power of two whose product with max_abs_grad stays below
-    the binary16 overflow threshold 65504."""
-    if not (math.isfinite(max_abs_grad) and max_abs_grad > 0):
-        raise ValueError("max_abs_grad must be finite and positive")
-    p = 2.0 ** math.floor(math.log2(b16.MAX_FINITE_VALUE / max_abs_grad))
-    while p * max_abs_grad >= b16.MAX_FINITE_VALUE:
-        p /= 2.0
-    while 2.0 * p * max_abs_grad < b16.MAX_FINITE_VALUE:
-        p *= 2.0
-    return p
 
 
 def lr_ok(lr: float) -> bool:

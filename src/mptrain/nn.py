@@ -129,6 +129,8 @@ class Layer:
 
 
 class Linear(Layer):
+    """Reads [batch, ...]: the trailing dims are the features; dx keeps x's shape."""
+
     def __init__(self, in_features: int, out_features: int, *, bias: bool = True):
         if in_features < 1 or out_features < 1:
             raise ValueError("Linear dimensions must be positive")
@@ -150,23 +152,26 @@ class Linear(Layer):
         return vals
 
     def forward(self, x, params, policy, rec, train, state):
-        if len(x.shape) != 2 or x.shape[1] != self.in_features:
-            raise ShapeError(f"Linear expected [batch,{self.in_features}], got {x.shape}")
+        flat = T.reshape(x, (x.shape[0], -1))  # a view
+        if flat.shape[1] != self.in_features:
+            raise ShapeError(f"Linear expected [batch,...] of {self.in_features} "
+                             f"features, got {x.shape}")
         rec.tensors["x"] = x
-        acc = T.matmul(x, params["weight"], policy.accum, DType.F32).data
+        acc = T.matmul(flat, params["weight"], policy.accum, DType.F32).data
         if self.bias:
             acc = acc + params["bias"].widen()[None, :]
         return _store(acc, policy)  # bias joins in f32, one store
 
     def backward(self, dy, params, policy, rec, want_dx=True):
-        grads = {"weight": T.matmul(T.transpose(rec.tensors["x"]), dy,
+        x = rec.tensors["x"]
+        grads = {"weight": T.matmul(T.transpose(T.reshape(x, (x.shape[0], -1))), dy,
                                     policy.accum, policy.compute_dtype)}
         if self.bias:
             grads["bias"] = _store(T.seq_sum(dy.widen(), 0), policy)
         dx = None
         if want_dx:
-            dx = T.matmul(dy, T.transpose(params["weight"]), policy.accum,
-                          policy.compute_dtype)
+            dx = T.reshape(T.matmul(dy, T.transpose(params["weight"]), policy.accum,
+                                    policy.compute_dtype), x.shape)
         return dx, grads
 
 
@@ -174,7 +179,9 @@ class Conv2d(Layer):
     """2-d convolution via im2col + the ordered matmul.
 
     The contraction order over (channel, kh, kw) is the row-major layout
-    of the patch matrix, fixed for reproducibility.
+    of the patch matrix, fixed for reproducibility.  With one input
+    channel, [batch, h, w] input reads as [batch, 1, h, w]; dx comes back
+    in the input's shape.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kh: int, kw: int,
@@ -198,6 +205,8 @@ class Conv2d(Layer):
                 "bias": np.zeros(self.out_channels, dtype=np.float32)}
 
     def _geometry(self, shape):
+        if len(shape) == 3 and self.in_channels == 1:
+            shape = (shape[0], 1, *shape[1:])
         if len(shape) != 4 or shape[1] != self.in_channels:
             raise ShapeError(f"Conv2d expected [batch,{self.in_channels},h,w], got {shape}")
         b, c, h, w = shape
@@ -212,7 +221,7 @@ class Conv2d(Layer):
         p, s = self.pad, self.stride
         # im2col on the stored bits: rows (b, oh, ow), columns (c, kh, kw)
         padded = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.data.dtype)
-        padded[:, :, p:p + h, p:p + w] = x.data
+        padded[:, :, p:p + h, p:p + w] = x.data.reshape(b, c, h, w)
         cols = np.empty((b, oh, ow, c, self.kh, self.kw), dtype=x.data.dtype)
         for i in range(self.kh):
             for j in range(self.kw):
@@ -258,7 +267,7 @@ class Conv2d(Layer):
             for j in range(self.kw):
                 dxp[:, :, i:i + oh * s:s, j:j + ow * s:s] += np.transpose(
                     dcols[:, :, :, :, i, j], (0, 3, 1, 2))
-        dx = _store(dxp[:, :, p:p + h, p:p + w], policy)
+        dx = T.reshape(_store(dxp[:, :, p:p + h, p:p + w], policy), x.shape)
         return dx, {"weight": dw, "bias": db}
 
 
@@ -582,8 +591,6 @@ def forward(model: Model, inputs: Tensor, targets: Tensor, policy: PrecisionPoli
     if inputs.dtype is not policy.compute_dtype:
         raise ValueError(f"batch dtype {inputs.dtype} does not match policy "
                          f"{policy.compute_dtype}")
-    if inputs.shape[0] < 1:
-        raise ValueError("empty batch")
     x, entries = _run_layers(model, inputs, policy, train)
     rec = TapeEntry()
     loss = model.layers[-1].loss(x, targets, policy, rec)

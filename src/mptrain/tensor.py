@@ -107,7 +107,10 @@ def zeros(shape: Sequence[int], dtype: DType) -> Tensor:
 
 
 def cast(t: Tensor, dtype: DType) -> Tensor:
-    """F32->F16 rounds once; F16->F32 is exact; same-dtype is identity."""
+    """F32->F16 rounds once; F16->F32 is exact; same-dtype is identity;
+    anything but a Tensor raises TypeError."""
+    if not isinstance(t, Tensor):
+        raise TypeError(f"cast expects a Tensor, got {type(t).__name__}")
     if t.dtype is dtype:
         return t
     if dtype is DType.F16:

@@ -1,4 +1,4 @@
-"""Guard against public API that no run reaches.
+"""Guards on the package's shape.
 
 Every public function defined in the mptrain modules, and every public
 method of the classes they define, must be referenced by code in src/
@@ -6,6 +6,10 @@ or perfbench/: a name, an import, or an attribute of anything but
 numpy.  Strings, comments, test files and numpy's own attributes (say
 `np.full`) do not count, so a function only tests call is moved into
 the tests or deleted rather than kept in the package.
+
+The modules form a stack: each imports only the mptrain modules below
+it, and io_cli names no layer class, so each layer owns how it reads
+its input.
 """
 
 import ast
@@ -17,6 +21,10 @@ from mptrain import binary16, diagnostics, io_cli, mp_engine, nn, tensor
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = (binary16, tensor, nn, mp_engine, diagnostics, io_cli)
 NUMPY = ("np", "numpy")
+# bottom to top; mp_engine and diagnostics share a level, so neither
+# may import the other
+LEVEL = {"binary16": 0, "tensor": 1, "nn": 2, "mp_engine": 3, "diagnostics": 3,
+         "io_cli": 4}
 
 
 def _referenced_names() -> set[str]:
@@ -60,3 +68,32 @@ def test_every_public_function_is_referenced():
                     for name, qualified in _public_callables(mod)
                     if name not in names]
     assert unreferenced == []
+
+
+def _mptrain_imports(tree: ast.AST) -> set[str]:
+    """The mptrain modules a module's code imports, relatively or by
+    the package name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("mptrain")):
+            mod = (node.module or "").removeprefix("mptrain").lstrip(".")
+            found.update([mod.split(".")[0]] if mod else [a.name for a in node.names])
+    return found
+
+
+def test_modules_import_only_modules_below_them():
+    upward = []
+    for path in sorted((ROOT / "src" / "mptrain").glob("*.py")):
+        level = LEVEL.get(path.stem, -1)  # __init__ imports nothing
+        for dep in sorted(_mptrain_imports(ast.parse(path.read_text()))):
+            if LEVEL[dep] >= level:
+                upward.append(f"{path.stem} imports {dep}")
+    assert upward == []
+
+
+def test_io_cli_names_no_layer_class():
+    tree = ast.parse((ROOT / "src" / "mptrain" / "io_cli.py").read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(named & set(nn._LAYER_KINDS)) == []

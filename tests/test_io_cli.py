@@ -438,7 +438,9 @@ def test_cli_plot_and_histogram(tmp_path, capsys):
     assert io_cli.main(["histogram", str(r.checkpoint),
                         "--output-dir", str(tmp_path)]) == 0
     out_text = capsys.readouterr().out
-    assert "recommended_scale" in out_text
+    assert "recommended_scale" not in out_text
+    assert "max_abs=" in out_text
+    assert "fraction below 2^-27: " in out_text and "fraction below 2^-24: " in out_text
     assert (tmp_path / "hist_checkpoint_weights.csv").exists()
     assert io_cli.main(["histogram",
                         str(tmp_path / "hist_checkpoint_weights.csv")]) == 0
@@ -781,6 +783,23 @@ def test_mnist_run_with_lstm_first_keeps_image_inputs(tmp_path, monkeypatch):
     assert np.isfinite(r.final_val_loss) and 0 <= r.final_val_acc <= 1
     assert len((tmp_path / "out" / "steps.csv").read_text().splitlines()) == 3
     assert eng.load_checkpoint(r.checkpoint)[0].spec_strings()[0] == "LSTMCell(28,8)"
+
+
+def test_mnist_cnn_config_trains_under_compare(tmp_path):
+    # Conv2d(1,...) reads the [b, 28, 28] batches as one channel, and
+    # Linear reads its [b, 2, 28, 28] output, so no layer flattens
+    io_cli.generate_surrogate_mnist(tmp_path / "data", n_train=32, n_test=16)
+    (tmp_path / "cnn.cfg").write_text(
+        f"[run]\ntask = mnist\noutput_dir = {tmp_path / 'out'}\n"
+        f"data_dir = {tmp_path / 'data'}\nepochs = 1\nbatch_size = 16\n"
+        "[model]\nlayers = Conv2d(1,2,3,3,pad=1); ReLU; Linear(1568,10,bias=true); "
+        "SoftmaxCrossEntropy\n")
+    assert io_cli.main(["compare", str(tmp_path / "cnn.cfg"),
+                        "--vary", "policy.preset=fp32,mp"]) == 0
+    for preset in ("fp32", "mp"):
+        ckpt = tmp_path / "out" / f"policy.preset={preset}" / "model.ckpt"
+        model, _ = eng.load_checkpoint(ckpt)
+        assert model.spec_strings()[0] == "Conv2d(1,2,3,3,stride=1,pad=1)"
 
 
 def test_env_var_data_dir(tmp_path, monkeypatch):

@@ -92,20 +92,6 @@ def test_detect_overflow():
     assert not eng.detect_overflow(sat)  # saturated but finite
 
 
-def test_suggest_constant_scale():
-    assert eng.suggest_constant_scale(2.0) == 16384.0
-    assert 16384.0 * 2.0 < 65504.0 and 32768.0 * 2.0 >= 65504.0
-    assert eng.suggest_constant_scale(1.0) == 32768.0
-    # the generic property: largest power of two below the threshold
-    for m in [0.1, 1.0, 3.7, 100.0, 2.0**-10]:
-        p = eng.suggest_constant_scale(m)
-        assert p * m < 65504.0 and 2 * p * m >= 65504.0
-    with pytest.raises(ValueError):
-        eng.suggest_constant_scale(float("inf"))
-    with pytest.raises(ValueError):
-        eng.suggest_constant_scale(0.0)
-
-
 # --- scaler state machine ----------------------------------------------------
 
 def test_scaler_backoff_and_growth():
@@ -248,6 +234,23 @@ def test_train_step_scaled_matches_fp32_reference():
         ref = params_a[k].master.data
         got = params_b[k].master.data
         assert (np.abs(got - ref) / np.abs(ref)).max() < 2.0**-10
+
+
+@pytest.mark.parametrize("precision", [nn.F32_POLICY, nn.MP_POLICY], ids=["fp32", "mp"])
+def test_train_step_rejects_ndarray_inputs_and_targets(precision):
+    # an ndarray's buffer would be read as storage bits: under fp32 the
+    # labels [2,2,1,1] below trained as other labels, with no error
+    model, params = tiny_model(4, 4, loss="softmax")
+    x, _ = healthy_batch(4, 4, n=4)
+    labels = np.array([2, 2, 1, 1])
+    before = masters_snapshot(params)
+    with pytest.raises(TypeError, match="ndarray"):
+        eng.train_step(model, params, x, labels, eng.TrainingPolicy(precision), lr=0.1)
+    with pytest.raises(TypeError, match="ndarray"):
+        eng.train_step(model, params, x.data, T.store(labels.astype(np.float32), DType.F32),
+                       eng.TrainingPolicy(precision), lr=0.1)
+    after = masters_snapshot(params)
+    assert all((after[k] == before[k]).all() for k in before)
 
 
 def test_train_step_overflow_skips_and_halves_scale():

@@ -38,7 +38,7 @@ def test_linear_hand_example():
     assert helpers.item(grads.weights["0.weight"]) == 36.0  # 2*3*(2*3-0)
 
 
-def test_forward_rejects_wrong_dtype_and_empty():
+def test_forward_rejects_wrong_dtype():
     model = simple_mlp()
     x16 = helpers.full([2, 4], DType.F16, 1.0)
     with pytest.raises(ValueError):
@@ -358,6 +358,36 @@ def test_first_input_grad_false_skips_dx_only(first):
         assert helpers.bits_equal(full.weights[key], skip.weights[key]), key
     for a, b in zip(full.activations[1:], skip.activations[1:]):
         assert helpers.bits_equal(a, b)
+
+
+@pytest.mark.parametrize("policy", [nn.F32_POLICY, nn.MP_POLICY], ids=["f32", "mp"])
+@pytest.mark.parametrize("specs,shape,other", [
+    (["Linear(784,5,bias=true)", "Tanh", "Linear(5,3,bias=true)", "SoftmaxCrossEntropy"],
+     (4, 28, 28), (4, 784)),
+    # the Linear after Conv2d reads its [batch, C, H, W] output as is
+    (["Conv2d(1,2,3,3,stride=1,pad=1)", "ReLU", "Linear(50,3,bias=true)",
+      "SoftmaxCrossEntropy"], (4, 5, 5), (4, 1, 5, 5)),
+], ids=["linear", "conv2d"])
+def test_first_layer_reads_the_input_shape_it_is_given(specs, shape, other, policy):
+    rng = np.random.default_rng(14)
+    model = nn.model_from_specs(specs)
+    helpers.bind_f32(model, model.init_values(14))
+    model.params = {k: T.cast(v, policy.compute_dtype) for k, v in model.params.items()}
+    values = rng.normal(0, 1, shape).astype(np.float32)
+    targets = T.store(rng.integers(0, 3, shape[0]).astype(np.float32), policy.compute_dtype)
+    runs = []
+    for s in (shape, other):
+        x = T.store(values.reshape(s), policy.compute_dtype)
+        loss, tape = nn.forward(model, x, targets, policy)
+        grads = nn.backward(model, tape, 8.0)
+        assert grads.activations[0].shape == s
+        runs.append((loss, grads))
+    (loss_a, a), (loss_b, b) = runs
+    assert loss_a == loss_b
+    assert a.weights.keys() == b.weights.keys()
+    for key in a.weights:
+        assert helpers.bits_equal(a.weights[key], b.weights[key]), key
+    assert a.activations[0].data.tobytes() == b.activations[0].data.tobytes()
 
 
 @pytest.mark.parametrize("bad", [-1, 2])
