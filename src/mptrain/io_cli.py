@@ -298,8 +298,8 @@ def _read_idx(path, expect_magic: int) -> np.ndarray:
         dims = struct.unpack(f">{ndim}I", raw_dims)
         if 0 in dims:
             raise DataError(f"{path}: empty dimension in {dims}")
-        count = int(np.prod(dims))
-        raw = fh.read(count)
+        count = math.prod(dims)  # a Python int: no wrap however large
+        raw = T.read_upto(fh, count)
         if len(raw) != count:
             raise DataError(f"{path}: truncated data ({len(raw)} of {count} bytes)")
         return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
@@ -389,14 +389,13 @@ def _cluster_inputs(n: int, means: np.ndarray, seed: int, stream: int,
     """Sample n points from Gaussian clusters around the given means."""
     classes = means.shape[0]
     labels = (T.random_u64(n, seed, stream) % np.uint64(classes)).astype(np.int64)
-    noise = T.random_normal([n, means.shape[1]], DType.F32, 0.0, spread,
-                            seed=seed, stream=stream + 1).data
+    noise = T.random_normal([n, means.shape[1]], 0.0, spread,
+                            seed=seed, stream=stream + 1)
     return means[labels] + noise, labels
 
 
 def _cluster_means(classes: int, in_dim: int, seed: int, stream: int) -> np.ndarray:
-    return T.random_normal([classes, in_dim], DType.F32, 0.0, 1.0,
-                           seed=seed, stream=stream).data
+    return T.random_normal([classes, in_dim], 0.0, 1.0, seed=seed, stream=stream)
 
 
 def task_synthetic_classify(seed: int) -> TaskBundle:
@@ -413,7 +412,6 @@ def task_synthetic_classify(seed: int) -> TaskBundle:
 
 
 UNDERFLOW_TARGET_SCALE = 2.0**-17
-UNDERFLOW_BATCH_SIZE = 128
 
 
 def gen_underflow_task(seed: int) -> TaskBundle:
@@ -443,8 +441,7 @@ def gen_underflow_task(seed: int) -> TaskBundle:
              f"Linear({hidden},{classes},bias=false)", "MeanSquaredError"]
     # readout starts near the subnormal floor: predictions ~2^-21, so
     # every loss gradient lands under 2^-24 until scaling lifts it
-    w2 = T.random_normal([hidden, classes], DType.F32, 0.0, 2.0**-24,
-                         seed=seed, stream=500).data.copy()
+    w2 = T.random_normal([hidden, classes], 0.0, 2.0**-24, seed=seed, stream=500)
     return TaskBundle(
         Dataset(T.store(xtr, DType.F32), T.store(onehot(ytr), DType.F32), "train"),
         Dataset(T.store(xva, DType.F32), T.store(onehot(yva), DType.F32), "validation"),
@@ -808,7 +805,9 @@ def _cmd_halfdump(args) -> int:
         value = float(args.value)
     except ValueError:
         raise ConfigError(f"halfdump expects a number, got {args.value!r}")
-    print(b16.format_pattern(b16.from_f32(value)))
+    with np.errstate(over="ignore"):  # a double beyond f32 range is inf
+        h = int(b16.from_f32_array(np.float32(value)))
+    print(b16.format_pattern(h))
     return 0
 
 

@@ -104,7 +104,8 @@ class TrainingPolicy:
 
     `precision` places every tensor and matmul: F32 storage is the
     baseline, `TrainingPolicy()`; F16 storage is mixed precision, with
-    ACC32 or ACC16 dot products, e.g. `TrainingPolicy(nn.MP_POLICY)`.
+    ACC32 or ACC16 dot products, e.g.
+    `TrainingPolicy(nn.PrecisionPolicy(DType.F16, AccumMode.ACC32))`.
     This constructor is the one way to build a policy.  `use_master`
     keeps f32 master weights (False updates the f16 shadows directly),
     `scaler` sets the loss scale, and `clip_threshold` clips the global

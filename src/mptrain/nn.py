@@ -36,7 +36,6 @@ class PrecisionPolicy:
 
 
 F32_POLICY = PrecisionPolicy(DType.F32, AccumMode.ACC32)
-MP_POLICY = PrecisionPolicy(DType.F16, AccumMode.ACC32)
 
 
 @dataclass
@@ -73,8 +72,8 @@ def _store(values: np.ndarray, policy: PrecisionPolicy) -> Tensor:
 
 def _normal(shape, fan_in: int, seed: int, index: int, k: int = 0) -> np.ndarray:
     """Writable f32 N(0, 1/fan_in) draws from stream k of layer `index`."""
-    return T.random_normal(shape, DType.F32, 0.0, 1.0 / np.sqrt(fan_in),
-                           seed=seed, stream=(index << 8) | k).data.copy()
+    return T.random_normal(shape, 0.0, 1.0 / np.sqrt(fan_in),
+                           seed=seed, stream=(index << 8) | k)
 
 
 @functools.cache

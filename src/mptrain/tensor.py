@@ -19,6 +19,7 @@ import ctypes
 import enum
 import functools
 import hashlib
+import math
 import os
 import pathlib
 import platform
@@ -303,8 +304,9 @@ def random_uniform01(n: int, seed: int, stream: int = 0) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
 
-def random_normal(shape: Sequence[int], dtype: DType, mean: float = 0.0,
-                  stddev: float = 1.0, seed: int = 0, stream: int = 0) -> Tensor:
+def random_normal(shape: Sequence[int], mean: float = 0.0, stddev: float = 1.0,
+                  seed: int = 0, stream: int = 0) -> np.ndarray:
+    """A fresh f32 array of N(mean, stddev^2) draws (Box-Muller)."""
     if stddev < 0:
         raise ValueError("stddev must be >= 0")
     shape = tuple(int(d) for d in shape)
@@ -317,8 +319,7 @@ def random_normal(shape: Sequence[int], dtype: DType, mean: float = 0.0,
     z = np.empty(2 * pairs, dtype=np.float64)
     z[0::2] = r * np.cos(theta)
     z[1::2] = r * np.sin(theta)
-    out = (mean + stddev * z[:n]).astype(np.float32).reshape(shape)
-    return store(out, dtype)
+    return (mean + stddev * z[:n]).astype(np.float32).reshape(shape)
 
 
 def permutation(n: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -345,8 +346,22 @@ def write_tensor(fh, t: Tensor) -> None:
     fh.write(t.data.astype(_WIRE[t.dtype]).tobytes())
 
 
+_READ_CHUNK = 1 << 26
+
+
+def read_upto(fh, n: int) -> bytes:
+    """The next n bytes of fh, fewer only at its end.  n may be any int:
+    reading in pieces of at most 64 MiB, a size that a file header claims
+    beyond what the file holds costs no more than one piece."""
+    parts = []
+    while n > 0 and (part := fh.read(min(n, _READ_CHUNK))):
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
-    raw = fh.read(n)
+    raw = read_upto(fh, n)
     if len(raw) != n:
         raise ValueError(f"truncated tensor {what} ({len(raw)} of {n} bytes)")
     return raw
@@ -361,7 +376,7 @@ def read_tensor(fh) -> Tensor:
         raise ValueError(f"unknown dtype code {code}")
     dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dimensions"))
     dtype = _CODE_DTYPE[code]
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)  # a Python int: no wrap however large
     raw = _read_exact(fh, count * _WIRE[dtype].itemsize, "buffer")
     data = np.frombuffer(raw, dtype=_WIRE[dtype]).astype(_STORAGE[dtype])
     return Tensor(data.reshape(dims), dtype)

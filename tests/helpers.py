@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from mptrain import binary16 as b16
 from mptrain import nn
 from mptrain import tensor as T
-from mptrain.tensor import DType, Tensor
+from mptrain.tensor import AccumMode, DType, Tensor
+
+# f16 storage with f32 accumulation: the "mp" preset's precision
+MP_POLICY = nn.PrecisionPolicy(DType.F16, AccumMode.ACC32)
+
+# the batch size gen_underflow_task is tuned for: every activation
+# gradient of its first unscaled step lands below 2^-24
+UNDERFLOW_BATCH_SIZE = 128
 
 
 def full(shape, dtype: DType, value: float) -> Tensor:
@@ -22,6 +30,18 @@ def from_values(shape, dtype: DType, values) -> Tensor:
     """Raises ValueError when the count of values does not fit shape."""
     return T.store(np.asarray(list(values), dtype=np.float32).reshape(tuple(shape)),
                    dtype)
+
+
+def half_bits(x: float) -> int:
+    """The binary16 pattern of one value through from_f32_array; a
+    double beyond f32 range is an f32 infinity first."""
+    with np.errstate(over="ignore"):
+        return int(b16.from_f32_array(np.float32(x)))
+
+
+def half_widen(h: int) -> float:
+    """The value of one pattern through to_f32_array."""
+    return float(b16.to_f32_array(np.uint16(h)))
 
 
 def item(t: Tensor) -> float:

@@ -1,8 +1,10 @@
 """Independent reference implementations used only by the test suite.
 
 The binary16 oracles work in exact rational arithmetic
-(fractions.Fraction).  The fixed-order sum oracle folds one row per
-numpy add.  The layer oracle is a float64 forward per layer kind,
+(fractions.Fraction), apart from one vectorized rounding oracle for
+inputs too many for Fractions, which scales by powers of two and rounds
+in float64 without numpy's f16 cast.  The fixed-order sum oracle folds
+one row per numpy add.  The layer oracle is a float64 forward per layer kind,
 written from each layer's definition, and the finite-difference
 gradient check built on it.  None shares a code path with the package
 under test.
@@ -91,7 +93,7 @@ def _round_half_even(x: Fraction) -> int:
 
 
 def half_from_float(x: float) -> int:
-    """Arbitrary-precision conversion oracle for from_f32.
+    """Arbitrary-precision conversion oracle for from_f32_array, one value.
 
     Assumes x is already exactly representable in single precision
     (callers feed it f32 values), so Fraction(x) is the exact input.
@@ -114,6 +116,36 @@ def half_to_fraction(h: int) -> Fraction:
     else:
         mag = Fraction(1024 + mant, 1024) * Fraction(2) ** (exp - 15)
     return -mag if h & 0x8000 else mag
+
+
+def half_value(h: int) -> float:
+    """The value of any binary16 pattern as a float, -0 and infinities
+    included; every NaN pattern gives nan."""
+    sign = -1.0 if h & 0x8000 else 1.0
+    if (h & 0x7C00) == 0x7C00:
+        return math.nan if h & 0x3FF else sign * math.inf
+    return math.copysign(float(abs(half_to_fraction(h))), sign)
+
+
+def half_from_f32_array(x) -> np.ndarray:
+    """Vectorized half_from_float: each f32 of x to its binary16 pattern.
+
+    |x| is scaled exactly by a power of two onto the grid of the result's
+    quantum, 2^q, and rounded there with rint (ties to even) in float64.
+    With n quanta the pattern's magnitude bits are (q + 24) * 2^10 + n
+    for subnormal and normal results alike, a carry into the next binade
+    included; anything from 2^16 up is infinity.
+    """
+    with np.errstate(invalid="ignore"):  # NaNs are set apart below
+        x = np.asarray(x, dtype=np.float32).astype(np.float64)
+    nan = np.isnan(x)
+    a = np.where(nan, 0.0, np.abs(x))
+    _, e = np.frexp(a)  # a = m * 2^e, 0.5 <= m < 1
+    q = np.maximum(e - 1, -14) - 10
+    n = np.rint(np.ldexp(a, -q))
+    mag = np.where(n == 0, 0.0, np.minimum((q + 24) * 1024.0 + n, HALF_POS_INF))
+    bits = mag.astype(np.int64) | np.where(np.signbit(x), 0x8000, 0)
+    return np.where(nan, HALF_NAN, bits).astype(np.uint16)
 
 
 def _sign_of(h: int) -> bool:

@@ -1,11 +1,13 @@
 """Guards on the package's shape.
 
-Every public function defined in the mptrain modules, and every public
-method of the classes they define, must be referenced by code in src/
-or perfbench/: a name, an import, or an attribute of anything but
-numpy.  Strings, comments, test files and numpy's own attributes (say
-`np.full`) do not count, so a function only tests call is moved into
-the tests or deleted rather than kept in the package.
+Every public function defined in the mptrain modules, every public
+method of the classes they define, and every public module constant
+must be referenced by code in src/ or perfbench/: a name that is read,
+an import, or an attribute of anything but numpy.  Strings, comments,
+test files, the assignment that defines a name and numpy's own
+attributes (say `np.full`) do not count, so a function or constant only
+tests use is moved into the tests or deleted rather than kept in the
+package.
 
 The modules form a stack: each imports only the mptrain modules below
 it, and io_cli names no layer class, so each layer owns how it reads
@@ -29,14 +31,14 @@ LEVEL = {"binary16": 0, "tensor": 1, "nn": 2, "mp_engine": 3, "diagnostics": 3,
 
 def _referenced_names() -> set[str]:
     """Every name that code outside the test files of src/ and
-    perfbench/ loads, imports or reads as an attribute."""
+    perfbench/ reads as a name, imports or reads as an attribute."""
     names = set()
     for folder in ("src", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             if path.name.startswith("test_"):
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names.add(node.id)
                 elif isinstance(node, ast.alias):
                     names.add(node.name)
@@ -62,10 +64,30 @@ def _public_callables(mod):
                     yield meth, f"{mod.__name__}.{name}.{meth}"
 
 
+def _public_constants(mod):
+    """(name, qualified name) of each public name that a top-level
+    assignment in mod's source binds."""
+    tree = ast.parse(pathlib.Path(mod.__file__).read_text())
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                yield target.id, f"{mod.__name__}.{target.id}"
+
+
 def test_every_public_function_is_referenced():
     names = _referenced_names()
     unreferenced = [qualified for mod in MODULES
                     for name, qualified in _public_callables(mod)
+                    if name not in names]
+    assert unreferenced == []
+
+
+def test_every_public_constant_is_referenced():
+    names = _referenced_names()
+    unreferenced = [qualified for mod in MODULES
+                    for name, qualified in _public_constants(mod)
                     if name not in names]
     assert unreferenced == []
 

@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from mptrain import binary16 as b16
 from mptrain import diagnostics as diag
 from mptrain import mp_engine as eng
 from mptrain import nn
@@ -126,7 +125,7 @@ def test_hook_cadence_and_capture(tmp_path):
     x = T.store(rng.normal(0, 1, (8, 3)).astype(np.float32), DType.F32)
     t = T.store(rng.normal(0, 1, (8, 2)).astype(np.float32), DType.F32)
     hook = diag.SampleHook(tmp_path, "h")
-    policy = eng.TrainingPolicy(nn.MP_POLICY)
+    policy = eng.TrainingPolicy(helpers.MP_POLICY)
     for i in range(7):
         eng.train_step(model, params, x, t, policy, lr=0.05, iteration=i,
                        observer=hook if i % 3 == 0 else None)
@@ -147,7 +146,7 @@ def test_hook_purity_trajectories_identical(tmp_path):
         rng = np.random.default_rng(5)
         x = T.store(rng.normal(0, 1, (16, 4)).astype(np.float32), DType.F32)
         labels = T.store(rng.integers(0, 2, 16).astype(np.float32), DType.F32)
-        policy = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(8.0))
+        policy = eng.TrainingPolicy(helpers.MP_POLICY, scaler=eng.ConstantScale(8.0))
         reports = []
         for i in range(10):
             reports.append(eng.train_step(model, params, x, labels, policy,

@@ -1,13 +1,13 @@
 import dataclasses
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mptrain import binary16 as b16
 from mptrain import diagnostics as diag
 from mptrain import io_cli
 from mptrain import mp_engine as eng
@@ -237,10 +237,10 @@ def test_underflow_task_gradients_flush_at_scale_1():
     def observer(it, grads, unscaled):
         captured["grads"] = grads
 
-    bs = io_cli.UNDERFLOW_BATCH_SIZE
+    bs = helpers.UNDERFLOW_BATCH_SIZE
     x = T.take(bundle.train.inputs, np.arange(bs))
     y = T.take(bundle.train.labels, np.arange(bs))
-    policy = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(1.0))
+    policy = eng.TrainingPolicy(helpers.MP_POLICY, scaler=eng.ConstantScale(1.0))
     eng.train_step(model, params, x, y, policy, lr=0.5, observer=observer)
 
     act_h = diag.merged(captured["grads"].activations)
@@ -385,10 +385,37 @@ def test_emit_plot_errors(tmp_path):
 
 # --- CLI --------------------------------------------------------------------------
 
+HALFDUMP_EDGES = [
+    ("1e39", "pattern  = 0x7C00 (0b0_11111_0000000000)\n"
+             "class    = infinity\n"
+             "value    = inf\n"),
+    ("-0", "pattern  = 0x8000 (0b1_00000_0000000000)\n"
+           "class    = zero\n"
+           "value    = -0.0\n"),
+    # 2^-25 is a tie between +0 and 2^-24; it rounds to even, +0
+    ("2.98023223876953125e-08", "pattern  = 0x0000 (0b0_00000_0000000000)\n"
+                                "class    = zero\n"
+                                "value    = 0.0\n"),
+    ("nan", "pattern  = 0x7E00 (0b0_11111_1000000000)\n"
+            "class    = nan\n"
+            "value    = nan\n"),
+    ("1e-6", "pattern  = 0x0011 (0b0_00000_0000010001)\n"
+             "class    = subnormal\n"
+             "value    = 1.0132789611816406e-06\n"
+             "exponent = -20\n"),
+]
+
+
 def test_cli_halfdump(capsys):
     assert io_cli.main(["halfdump", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "0x3C00" in out and "normal" in out
+
+    for arg, text in HALFDUMP_EDGES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 1e39's f32 overflow stays quiet
+            assert io_cli.main(["halfdump", arg]) == 0
+        assert capsys.readouterr() == (text, ""), arg
 
     assert io_cli.main(["halfdump", "not-a-number"]) == 1
 
@@ -460,10 +487,13 @@ def _missing_file(tmp):
     return ["histogram", str(tmp / "missing.ckpt")]
 
 
+ONE_WEIGHT_MANIFEST = ("MPCKPT 1\nlayer.0 = Linear(1,1,bias=false)\n"
+                       "layer.1 = MeanSquaredError\nentry.0 = param.0.weight\n"
+                       "END\n").encode()
+
+
 def _short_tensor_header(tmp):
-    manifest = ("MPCKPT 1\nlayer.0 = Linear(1,1,bias=false)\n"
-                "layer.1 = MeanSquaredError\nentry.0 = param.0.weight\nEND\n")
-    (tmp / "s.ckpt").write_bytes(manifest.encode() + b"MPTENS01\x01")
+    (tmp / "s.ckpt").write_bytes(ONE_WEIGHT_MANIFEST + b"MPTENS01\x01")
     return ["histogram", str(tmp / "s.ckpt")]
 
 
@@ -599,6 +629,41 @@ def test_cli_malformed_file_exits_2_with_one_line(make_argv, tmp_path, capsys):
     assert io_cli.main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+def _idx_images_of_dims(dims):
+    """The mnist task with training images whose header claims `dims`
+    over 16 bytes of pixels."""
+    def make_argv(tmp):
+        data = tmp / "data"
+        data.mkdir()
+        (data / "train-images-idx3-ubyte").write_bytes(
+            struct.pack(">I3I", io_cli.IDX_IMAGES_MAGIC, *dims) + bytes(16))
+        return _mnist_config(tmp, data)
+    return make_argv
+
+
+def _checkpoint_tensor_of_dims(dims):
+    """A checkpoint whose F32 weight header claims `dims` over 16 bytes."""
+    def make_argv(tmp):
+        header = b"MPTENS01" + struct.pack(f"<BB{len(dims)}Q", 1, len(dims), *dims)
+        (tmp / "big.ckpt").write_bytes(ONE_WEIGHT_MANIFEST + header + bytes(16))
+        return ["histogram", str(tmp / "big.ckpt")]
+    return make_argv
+
+
+@pytest.mark.parametrize("make_argv", [
+    _idx_images_of_dims((2**16, 2**16, 2**16)), _idx_images_of_dims((2**31, 2**31, 4)),
+    _checkpoint_tensor_of_dims((2**40,)), _checkpoint_tensor_of_dims((2**31, 2**31))],
+    ids=["idx_2^48_bytes", "idx_2^64_bytes", "tensor_2^42_bytes", "tensor_2^64_bytes"])
+def test_cli_header_claiming_more_than_the_file_holds_exits_2(make_argv, tmp_path,
+                                                              capsys):
+    # byte counts past int64 included: none may wrap, and nothing of the
+    # claimed size may be allocated
+    assert io_cli.main(make_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "truncated" in err
 
 
 def test_cli_labels_beyond_model_classes_exit_2(tmp_path, capsys):

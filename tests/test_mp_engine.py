@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mptrain import binary16 as b16
 from mptrain import mp_engine as eng
 from mptrain import nn
 from mptrain import tensor as T
@@ -46,13 +45,13 @@ def test_sync_shadow_oracle_values():
     assert p2.shadow.data[0] == 0x0000
 
     p3 = eng.Parameter("w", helpers.from_values([1], DType.F32, [1.5]))
-    assert p3.shadow.data[0] == b16.from_f32(1.5)
+    assert p3.shadow.data[0] == oracles.half_from_float(1.5)
     p3.sync_shadow()
-    assert p3.shadow.data[0] == b16.from_f32(1.5)
+    assert p3.shadow.data[0] == oracles.half_from_float(1.5)
 
 
 @pytest.mark.parametrize("policy,casts_per_param", [
-    (eng.TrainingPolicy(), 0), (eng.TrainingPolicy(nn.MP_POLICY), 2)])
+    (eng.TrainingPolicy(), 0), (eng.TrainingPolicy(helpers.MP_POLICY), 2)])
 def test_train_step_casts_shadows_only_where_f16_reads_them(policy, casts_per_param,
                                                              monkeypatch):
     model, params = tiny_model(seed=1)
@@ -140,9 +139,9 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         eng.TrainingPolicy(use_master=False)
     with pytest.raises(ValueError):
-        eng.TrainingPolicy(nn.MP_POLICY, clip_threshold=0.0)
+        eng.TrainingPolicy(helpers.MP_POLICY, clip_threshold=0.0)
     assert eng.TrainingPolicy().precision.compute_dtype is DType.F32
-    assert eng.TrainingPolicy(nn.MP_POLICY).precision.compute_dtype is DType.F16
+    assert eng.TrainingPolicy(helpers.MP_POLICY).precision.compute_dtype is DType.F16
     reference = eng.TrainingPolicy(scaler=eng.ConstantScale(8.0))
     assert reference.precision.compute_dtype is DType.F32
 
@@ -226,7 +225,7 @@ def test_train_step_scaled_matches_fp32_reference():
     rep_a = eng.train_step(model_a, params_a, x, t,
                            eng.TrainingPolicy(), lr=0.1)
     model_b, params_b = build()
-    policy_b = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(8.0))
+    policy_b = eng.TrainingPolicy(helpers.MP_POLICY, scaler=eng.ConstantScale(8.0))
     rep_b = eng.train_step(model_b, params_b, x, t, policy_b, lr=0.1)
 
     assert not rep_a.skipped and not rep_b.skipped
@@ -236,7 +235,8 @@ def test_train_step_scaled_matches_fp32_reference():
         assert (np.abs(got - ref) / np.abs(ref)).max() < 2.0**-10
 
 
-@pytest.mark.parametrize("precision", [nn.F32_POLICY, nn.MP_POLICY], ids=["fp32", "mp"])
+@pytest.mark.parametrize("precision", [nn.F32_POLICY, helpers.MP_POLICY],
+                         ids=["fp32", "mp"])
 def test_train_step_rejects_ndarray_inputs_and_targets(precision):
     # an ndarray's buffer would be read as storage bits: under fp32 the
     # labels [2,2,1,1] below trained as other labels, with no error
@@ -259,7 +259,7 @@ def test_train_step_overflow_skips_and_halves_scale():
     model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
     params = {"0.weight": eng.Parameter("0.weight",
                                         helpers.from_values([1, 1], DType.F32, [256.0]))}
-    policy = eng.TrainingPolicy(nn.MP_POLICY,
+    policy = eng.TrainingPolicy(helpers.MP_POLICY,
                                 scaler=eng.DynamicScale(init_scale=1024.0))
     x = helpers.from_values([1, 1], DType.F32, [256.0])
     t = helpers.from_values([1, 1], DType.F32, [0.0])
@@ -279,7 +279,7 @@ def test_train_step_constant_scale_overflow_warns_and_skips():
     model = nn.Model([nn.Linear(1, 1, bias=False), nn.MeanSquaredError()])
     params = {"0.weight": eng.Parameter("0.weight",
                                         helpers.from_values([1, 1], DType.F32, [256.0]))}
-    policy = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.ConstantScale(8.0))
+    policy = eng.TrainingPolicy(helpers.MP_POLICY, scaler=eng.ConstantScale(8.0))
     x = helpers.from_values([1, 1], DType.F32, [256.0])
     t = helpers.from_values([1, 1], DType.F32, [0.0])
     before = masters_snapshot(params)
@@ -293,7 +293,7 @@ def test_train_step_constant_scale_overflow_warns_and_skips():
 def test_growth_after_clean_steps():
     model, params = tiny_model(seed=8)
     x, t = healthy_batch(seed=8)
-    policy = eng.TrainingPolicy(nn.MP_POLICY, scaler=eng.DynamicScale(
+    policy = eng.TrainingPolicy(helpers.MP_POLICY, scaler=eng.DynamicScale(
         init_scale=1024.0, growth_interval=50))
     for i in range(49):
         rep = eng.train_step(model, params, x, t, policy, lr=0.01, iteration=i)
@@ -315,7 +315,7 @@ def test_swamping_ablation_fp16_updates_stall():
     steps = 50
 
     model, params = build(use_master=False)
-    policy = eng.TrainingPolicy(nn.MP_POLICY, use_master=False)
+    policy = eng.TrainingPolicy(helpers.MP_POLICY, use_master=False)
     start_bits = params["0.weight"].shadow.data.copy()
     g = {"0.weight": np.array([[-update]], np.float32)}  # descend -> +update
     for _ in range(steps):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mptrain import binary16 as b16
 from mptrain import nn
 from mptrain import tensor as T
 from mptrain.tensor import AccumMode, DType
@@ -54,7 +53,7 @@ def test_softmax_row_sums_and_double_oracle():
     layer = nn.SoftmaxCrossEntropy()
     rec = nn.TapeEntry()
     loss = layer.loss(pred, T.store(labels.astype(np.float32), DType.F32),
-                      nn.MP_POLICY, rec)
+                      helpers.MP_POLICY, rec)
 
     sums = rec.f32["probs"].sum(axis=1)
     assert np.abs(sums - 1.0).max() < 1e-6
@@ -97,7 +96,7 @@ def test_precision_placement_on_tape():
     model.params = {k: T.store(v, DType.F16) for k, v in vals.items()}
     x = T.store(np.random.default_rng(1).normal(0, 1, (8, 6)).astype(np.float32),
                 DType.F16)
-    loss, tape = nn.forward(model, x, T.zeros([8], DType.F32), nn.MP_POLICY)
+    loss, tape = nn.forward(model, x, T.zeros([8], DType.F32), helpers.MP_POLICY)
 
     for entry in tape.entries:
         for t in entry.tensors.values():
@@ -121,22 +120,18 @@ def test_backward_scale_seeding_shifts_exponents():
     x = T.store(np.random.default_rng(3).normal(0, 1, (6, 4)).astype(np.float32),
                 DType.F16)
     labels = T.store(np.array([0, 1, 0, 1, 0, 1], dtype=np.float32), DType.F32)
-    _, tape = nn.forward(model, x, labels, nn.MP_POLICY)
+    _, tape = nn.forward(model, x, labels, helpers.MP_POLICY)
     g1 = nn.backward(model, tape, 1.0)
     g8 = nn.backward(model, tape, 8.0)
 
     checked = 0
     for key in g1.weights:
-        a = g1.weights[key].data.reshape(-1)
-        b = g8.weights[key].data.reshape(-1)
-        for ha, hb in zip(a, b):
-            ha, hb = int(ha), int(hb)
-            if b16.classify(ha) is not b16.HalfClass.NORMAL:
-                continue
-            if b16.classify(hb) is not b16.HalfClass.NORMAL:
-                continue
-            assert b16.exponent_of(hb) == b16.exponent_of(ha) + 3
-            checked += 1
+        # the exponent field of each gradient pattern, read off the bits
+        ea = (g1.weights[key].data.reshape(-1) >> 10) & 0x1F
+        eb = (g8.weights[key].data.reshape(-1) >> 10) & 0x1F
+        normal = (ea > 0) & (ea < 31) & (eb > 0) & (eb < 31)
+        assert (eb[normal] == ea[normal] + 3).all()
+        checked += int(normal.sum())
     assert checked > 10
 
 
@@ -152,7 +147,7 @@ def test_small_gradient_rescued_by_scale():
     x = helpers.full([8, 1], DType.F16, 1.0)
     target = helpers.full([8, 1], DType.F16, w - 2.0**-24)
     assert float(target.widen()[0, 0]) == w - 2.0**-24  # representable exactly
-    _, tape = nn.forward(model, x, target, nn.MP_POLICY)
+    _, tape = nn.forward(model, x, target, helpers.MP_POLICY)
 
     g1 = nn.backward(model, tape, 1.0)
     assert (g1.activations[-1].data == 0x0000).all()
@@ -162,7 +157,7 @@ def test_small_gradient_rescued_by_scale():
     dpred = g8.activations[-1]
     assert (dpred.widen() == 8 * 2.0**-26).all()
     stored = int(g8.weights["0.weight"].data[0, 0])
-    assert b16.to_f32(stored) == 8 * (8 * 2.0**-26)  # summed over the batch
+    assert oracles.half_value(stored) == 8 * (8 * 2.0**-26)  # summed over the batch
 
 
 def test_scaling_linearity_f32_reference():
@@ -347,7 +342,7 @@ def test_first_input_grad_false_skips_dx_only(first):
     helpers.bind_f32(model, model.init_values(13))
     model.params = {k: T.cast(v, DType.F16) for k, v in model.params.items()}
     x = T.store(x.astype(np.float32), DType.F16)
-    _, tape = nn.forward(model, x, targets, nn.MP_POLICY)
+    _, tape = nn.forward(model, x, targets, helpers.MP_POLICY)
 
     full = nn.backward(model, tape, 8.0, first_input_grad=True)
     skip = nn.backward(model, tape, 8.0, first_input_grad=False)
@@ -360,7 +355,7 @@ def test_first_input_grad_false_skips_dx_only(first):
         assert helpers.bits_equal(a, b)
 
 
-@pytest.mark.parametrize("policy", [nn.F32_POLICY, nn.MP_POLICY], ids=["f32", "mp"])
+@pytest.mark.parametrize("policy", [nn.F32_POLICY, helpers.MP_POLICY], ids=["f32", "mp"])
 @pytest.mark.parametrize("specs,shape,other", [
     (["Linear(784,5,bias=true)", "Tanh", "Linear(5,3,bias=true)", "SoftmaxCrossEntropy"],
      (4, 28, 28), (4, 784)),
