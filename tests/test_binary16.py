@@ -121,6 +121,10 @@ def test_from_f32_against_fraction_oracle_random():
         rng.uniform(-2**-24, 2**-24, 2000),
         rng.uniform(60000, 70000, 1000),
     ]))
+
+
+def test_scalar_matches_array_path():
+    # the array path against the per-value Fraction oracle
     rng = np.random.default_rng(11)
     _assert_matches_fraction_oracle(np.concatenate([
         rng.normal(0, 1, 5000),
@@ -230,3 +234,12 @@ def test_exponent_of_matches_fraction_log():
     for h, e in zip(finite.tolist(), es.tolist()):
         v = abs(oracles.half_to_fraction(h))
         assert Fraction(2) ** e <= v < Fraction(2) ** (e + 1), hex(h)
+
+
+def test_exponent_of_array_matches_scalar():
+    # the array path against math.frexp on each value
+    finite = _finite_halves()
+    finite = finite[(finite & 0x7FFF) != 0]
+    es = b16.exponent_of_array(b16.to_f32_array(finite))
+    for h, e in zip(finite.tolist(), es.tolist()):
+        assert math.frexp(oracles.half_value(h))[1] - 1 == e, hex(h)
