@@ -1,11 +1,12 @@
 /* The ordered matmul behind mptrain.tensor.matmul: c = a @ b for a [m,k]
    and b [k,n], all f32 and C-contiguous.  Every c[i,j] starts at +0 and
    adds a[i,p]*b[p,j] for p = 0..k-1 in that order; only the independent
-   j loop is vectorized.  With acc16 the accumulator is rounded to
-   binary16 after every add.  Build with -ffp-contract=off, so that no
-   product is fused into its add.  The x86-64-v3 clone has F16C, which
-   makes the acc16 rounding a vector instruction; the default clone runs
-   on every x86-64 CPU. */
+   j loop is vectorized, and only without acc16.  With acc16 the
+   accumulator is rounded to binary16 after every add, one element at a
+   time: the x86-64-v3 clone with scalar F16C instructions (vcvtps2ph,
+   vcvtph2ps), the default clone, which runs on every x86-64 CPU, with
+   calls to libgcc's __truncsfhf2 and __extendhfsf2.  Build with
+   -ffp-contract=off, so that no product is fused into its add. */
 #ifdef __x86_64__
 __attribute__((target_clones("arch=x86-64-v3", "default")))
 #endif

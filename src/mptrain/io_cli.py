@@ -302,6 +302,9 @@ def _read_idx(path, expect_magic: int) -> np.ndarray:
         raw = T.read_upto(fh, count)
         if len(raw) != count:
             raise DataError(f"{path}: truncated data ({len(raw)} of {count} bytes)")
+        if fh.read(1):
+            raise DataError(f"{path}: bytes after the {count} data bytes "
+                            f"its header claims")
         return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
 
 

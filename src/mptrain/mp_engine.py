@@ -390,6 +390,8 @@ def load_checkpoint(path) -> tuple[nn.Model, dict[str, Parameter]]:
         model = nn.model_from_specs([specs[i] for i in sorted(specs)])
 
         tensors = {name: T.read_tensor(fh) for name in names}
+        if fh.read(1):
+            raise ValueError("checkpoint has bytes after its last entry")
 
     for name, t in tensors.items():
         if t.dtype is not DType.F32:

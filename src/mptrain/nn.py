@@ -6,7 +6,8 @@ policy's compute dtype (F16 in mixed precision, F32 in baseline), while
 the arithmetic inside a layer runs in f32.  Dot products accumulate per
 the policy's AccumMode; batch statistics, softmax normalizers and other
 reductions accumulate in f32 and exist only as f32 side-band values on
-the tape.
+the tape.  A layer's tape record is one dict of what its backward reads:
+stored Tensors in the compute dtype, side-band values as ndarrays.
 
 A model is an ordered list of layers whose last element is a loss layer
 (SoftmaxCrossEntropy or MeanSquaredError).  Parameters are held in a
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import inspect
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,17 +40,10 @@ F32_POLICY = PrecisionPolicy(DType.F32, AccumMode.ACC32)
 
 
 @dataclass
-class TapeEntry:
-    """Per-layer saved forward values: low-precision tensors plus the
-    f32 side-band quantities (batch statistics, softmax probabilities)."""
-
-    tensors: dict[str, Tensor] = field(default_factory=dict)
-    f32: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
 class ActivationTape:
-    entries: list[TapeEntry]
+    """One record per layer: what its backward reads, keyed by name."""
+
+    entries: list[dict]
     policy: PrecisionPolicy
 
 
@@ -104,12 +98,12 @@ class Layer:
         return {}
 
     def forward(self, x: Tensor, params: dict[str, Tensor],
-                policy: PrecisionPolicy, rec: TapeEntry, train: bool,
+                policy: PrecisionPolicy, rec: dict, train: bool,
                 state: dict[str, np.ndarray]) -> Tensor:
         raise NotImplementedError
 
     def backward(self, dy: Tensor, params: dict[str, Tensor],
-                 policy: PrecisionPolicy, rec: TapeEntry, want_dx: bool = True
+                 policy: PrecisionPolicy, rec: dict, want_dx: bool = True
                  ) -> tuple[Optional[Tensor], dict[str, Tensor]]:
         raise NotImplementedError
 
@@ -155,14 +149,14 @@ class Linear(Layer):
         if flat.shape[1] != self.in_features:
             raise ShapeError(f"Linear expected [batch,...] of {self.in_features} "
                              f"features, got {x.shape}")
-        rec.tensors["x"] = x
+        rec["x"] = x
         acc = T.matmul(flat, params["weight"], policy.accum, DType.F32).data
         if self.bias:
             acc = acc + params["bias"].widen()[None, :]
         return _store(acc, policy)  # bias joins in f32, one store
 
     def backward(self, dy, params, policy, rec, want_dx=True):
-        x = rec.tensors["x"]
+        x = rec["x"]
         grads = {"weight": T.matmul(T.transpose(T.reshape(x, (x.shape[0], -1))), dy,
                                     policy.accum, policy.compute_dtype)}
         if self.bias:
@@ -219,28 +213,24 @@ class Conv2d(Layer):
         b, c, h, w, oh, ow = self._geometry(x.shape)
         p, s = self.pad, self.stride
         # im2col on the stored bits: rows (b, oh, ow), columns (c, kh, kw)
-        padded = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.data.dtype)
-        padded[:, :, p:p + h, p:p + w] = x.data.reshape(b, c, h, w)
-        cols = np.empty((b, oh, ow, c, self.kh, self.kw), dtype=x.data.dtype)
-        for i in range(self.kh):
-            for j in range(self.kw):
-                patch = padded[:, :, i:i + oh * s:s, j:j + ow * s:s]
-                cols[:, :, :, :, i, j] = np.transpose(patch, (0, 2, 3, 1))
-        cols = cols.reshape(b * oh * ow, c * self.kh * self.kw)
-        cols_t = T.Tensor(cols, x.dtype)
+        padded = np.pad(x.data.reshape(b, c, h, w), ((0, 0), (0, 0), (p, p), (p, p)))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, (self.kh, self.kw), axis=(2, 3))[:, :, ::s, ::s]
+        cols_t = T.Tensor(np.transpose(windows, (0, 2, 3, 1, 4, 5)).reshape(
+            b * oh * ow, c * self.kh * self.kw), x.dtype)
         wmat = T.reshape(params["weight"],
                          (self.out_channels, c * self.kh * self.kw))
         acc = T.matmul(cols_t, T.transpose(wmat), policy.accum, DType.F32).data
         acc = acc + params["bias"].widen()[None, :]
         y = _store(acc, policy)
-        rec.tensors["x"] = x
-        rec.tensors["cols"] = cols_t
+        rec["x"] = x
+        rec["cols"] = cols_t
         return T.transpose(T.reshape(y, (b, oh, ow, self.out_channels)),
                            (0, 3, 1, 2))
 
     def backward(self, dy, params, policy, rec, want_dx=True):
-        x = rec.tensors["x"]
-        cols_t = rec.tensors["cols"]
+        x = rec["x"]
+        cols_t = rec["cols"]
         b, c, h, w, oh, ow = self._geometry(x.shape)
         p, s = self.pad, self.stride
 
@@ -272,11 +262,11 @@ class Conv2d(Layer):
 
 class ReLU(Layer):
     def forward(self, x, params, policy, rec, train, state):
-        rec.tensors["x"] = x
+        rec["x"] = x
         return _store(np.maximum(x.widen(), np.float32(0)), policy)
 
     def backward(self, dy, params, policy, rec, want_dx=True):
-        mask = rec.tensors["x"].widen() > 0
+        mask = rec["x"].widen() > 0
         dx = _store(np.where(mask, dy.widen(), np.float32(0)), policy)
         return dx, {}
 
@@ -286,12 +276,12 @@ class LeakyReLU(Layer):
         self.slope = float(slope)
 
     def forward(self, x, params, policy, rec, train, state):
-        rec.tensors["x"] = x
+        rec["x"] = x
         xw = x.widen()
         return _store(np.where(xw > 0, xw, np.float32(self.slope) * xw), policy)
 
     def backward(self, dy, params, policy, rec, want_dx=True):
-        xw = rec.tensors["x"].widen()
+        xw = rec["x"].widen()
         g = np.where(xw > 0, np.float32(1.0), np.float32(self.slope))
         return _store(dy.widen() * g, policy), {}
 
@@ -299,22 +289,22 @@ class LeakyReLU(Layer):
 class Tanh(Layer):
     def forward(self, x, params, policy, rec, train, state):
         y = _store(np.tanh(x.widen()), policy)
-        rec.tensors["y"] = y
+        rec["y"] = y
         return y
 
     def backward(self, dy, params, policy, rec, want_dx=True):
-        yw = rec.tensors["y"].widen()  # derivative from the stored value
+        yw = rec["y"].widen()  # derivative from the stored value
         return _store(dy.widen() * (np.float32(1.0) - yw * yw), policy), {}
 
 
 class Sigmoid(Layer):
     def forward(self, x, params, policy, rec, train, state):
         y = _store(_sigmoid(x.widen()), policy)
-        rec.tensors["y"] = y
+        rec["y"] = y
         return y
 
     def backward(self, dy, params, policy, rec, want_dx=True):
-        yw = rec.tensors["y"].widen()
+        yw = rec["y"].widen()
         return _store(dy.widen() * yw * (np.float32(1.0) - yw), policy), {}
 
 
@@ -366,16 +356,16 @@ class BatchNorm(Layer):
         invstd = np.float32(1.0) / np.sqrt(var + np.float32(self.epsilon))
         xhat = centered * invstd[None, :]
         y = params["gamma"].widen()[None, :] * xhat + params["beta"].widen()[None, :]
-        rec.tensors["x"] = x
-        rec.f32["mean"] = mean
-        rec.f32["invstd"] = invstd
+        rec["x"] = x
+        rec["mean"] = mean
+        rec["invstd"] = invstd
         return _store(y, policy)
 
     def backward(self, dy, params, policy, rec, want_dx=True):
-        x = rec.tensors["x"]
+        x = rec["x"]
         xw = x.widen()
         b = np.float32(x.shape[0])
-        mean, invstd = rec.f32["mean"], rec.f32["invstd"]
+        mean, invstd = rec["mean"], rec["invstd"]
         xhat = (xw - mean[None, :]) * invstd[None, :]
         dyw = dy.widen()
 
@@ -394,7 +384,8 @@ class BatchNorm(Layer):
 class LSTMCell(Layer):
     """Standard LSTM cell unrolled over [batch, time, features] input;
     returns the final hidden state.  Gate layout along the 4H axis is
-    input | forget | cell | output."""
+    input | forget | cell | output; each step tapes its four gates as one
+    stored [batch, 4H] tensor."""
 
     def __init__(self, in_features: int, hidden: int):
         if in_features < 1 or hidden < 1:
@@ -419,32 +410,28 @@ class LSTMCell(Layer):
         b, steps, _ = x.shape
         h_t = T.zeros((b, self.hidden), policy.compute_dtype)
         c_t = T.zeros((b, self.hidden), policy.compute_dtype)
-        rec.tensors["x"] = x
+        xs = rec["xs"] = T.transpose(x, (1, 0, 2))  # [time, batch, features]
         bias = params["bias"].widen()[None, :]
         for t in range(steps):
-            x_t = T.slice_(x, (slice(None), t))
-            z = (T.matmul(x_t, params["w_ih"], policy.accum, DType.F32).data
+            z = (T.matmul(T.slice_(xs, t), params["w_ih"], policy.accum, DType.F32).data
                  + T.matmul(h_t, params["w_hh"], policy.accum, DType.F32).data
                  + bias)
             zi, zf, zg, zo = np.split(z, 4, axis=1)
-            gi = _store(_sigmoid(zi), policy)
-            gf = _store(_sigmoid(zf), policy)
-            gg = _store(np.tanh(zg), policy)
-            go = _store(_sigmoid(zo), policy)
-            c_new = _store(gf.widen() * c_t.widen() + gi.widen() * gg.widen(),
-                           policy)
-            h_new = _store(go.widen() * np.tanh(c_new.widen()), policy)
-            rec.tensors[f"t{t}.h_prev"] = h_t
-            rec.tensors[f"t{t}.c_prev"] = c_t
-            for name, g in (("i", gi), ("f", gf), ("g", gg), ("o", go)):
-                rec.tensors[f"t{t}.{name}"] = g
-            rec.tensors[f"t{t}.c"] = c_new
+            gates = _store(np.concatenate(
+                [_sigmoid(zi), _sigmoid(zf), np.tanh(zg), _sigmoid(zo)], axis=1), policy)
+            gi, gf, gg, go = np.split(gates.widen(), 4, axis=1)
+            c_new = _store(gf * c_t.widen() + gi * gg, policy)
+            h_new = _store(go * np.tanh(c_new.widen()), policy)
+            rec[f"t{t}.h_prev"] = h_t
+            rec[f"t{t}.c_prev"] = c_t
+            rec[f"t{t}.gates"] = gates
+            rec[f"t{t}.c"] = c_new
             h_t, c_t = h_new, c_new
         return h_t
 
     def backward(self, dy, params, policy, rec, want_dx=True):
-        x = rec.tensors["x"]
-        b, steps, _ = x.shape
+        xs = rec["xs"]
+        steps, b, _ = xs.shape
         one = np.float32(1.0)
         dh = dy
         dc = T.zeros((b, self.hidden), policy.compute_dtype)
@@ -456,12 +443,9 @@ class LSTMCell(Layer):
         w_hh_t = T.transpose(params["w_hh"])
 
         for t in reversed(range(steps)):
-            gi = rec.tensors[f"t{t}.i"].widen()
-            gf = rec.tensors[f"t{t}.f"].widen()
-            gg = rec.tensors[f"t{t}.g"].widen()
-            go = rec.tensors[f"t{t}.o"].widen()
-            c_new = rec.tensors[f"t{t}.c"].widen()
-            c_prev = rec.tensors[f"t{t}.c_prev"].widen()
+            gi, gf, gg, go = np.split(rec[f"t{t}.gates"].widen(), 4, axis=1)
+            c_new = rec[f"t{t}.c"].widen()
+            c_prev = rec[f"t{t}.c_prev"].widen()
             tanh_c = np.tanh(c_new)
 
             dhw = dh.widen()
@@ -472,9 +456,8 @@ class LSTMCell(Layer):
             dzo = dhw * tanh_c * go * (one - go)
             dz = _store(np.concatenate([dzi, dzf, dzg, dzo], axis=1), policy)
 
-            x_t = T.slice_(x, (slice(None), t))
-            h_prev = rec.tensors[f"t{t}.h_prev"]
-            dw_ih += T.matmul(T.transpose(x_t), dz, policy.accum, DType.F32).data
+            h_prev = rec[f"t{t}.h_prev"]
+            dw_ih += T.matmul(T.transpose(T.slice_(xs, t)), dz, policy.accum, DType.F32).data
             dw_hh += T.matmul(T.transpose(h_prev), dz, policy.accum, DType.F32).data
             db += T.seq_sum(dz.widen(), axis=0)
 
@@ -499,10 +482,10 @@ class LabelError(ValueError):
 
 
 class LossLayer(Layer):
-    def loss(self, pred: Tensor, targets: Tensor, policy, rec: TapeEntry) -> float:
+    def loss(self, pred: Tensor, targets: Tensor, policy, rec: dict) -> float:
         raise NotImplementedError
 
-    def loss_grad(self, seed: float, policy, rec: TapeEntry) -> Tensor:
+    def loss_grad(self, seed: float, policy, rec: dict) -> Tensor:
         raise NotImplementedError
 
 
@@ -527,13 +510,13 @@ class SoftmaxCrossEntropy(LossLayer):
             logsum = np.log(s) + m[:, 0]
             per_row = logsum - zw[np.arange(zw.shape[0]), labels]
             loss = T.seq_sum(per_row) / np.float32(zw.shape[0])
-            rec.f32["probs"] = e / s[:, None]
-        rec.f32["labels"] = labels
+            rec["probs"] = e / s[:, None]
+        rec["labels"] = labels
         return float(loss)
 
     def loss_grad(self, seed, policy, rec):
-        probs = rec.f32["probs"]
-        labels = rec.f32["labels"]
+        probs = rec["probs"]
+        labels = rec["labels"]
         b = probs.shape[0]
         g = probs.copy()
         g[np.arange(b), labels] -= np.float32(1.0)
@@ -552,11 +535,11 @@ class MeanSquaredError(LossLayer):
         with np.errstate(over="ignore", invalid="ignore"):
             diff = pw - tw
             loss = T.seq_sum(diff * diff) / np.float32(diff.size)
-        rec.f32["diff"] = diff
+        rec["diff"] = diff
         return float(loss)
 
     def loss_grad(self, seed, policy, rec):
-        diff = rec.f32["diff"]
+        diff = rec["diff"]
         g = diff * (np.float32(2.0) * np.float32(seed) / np.float32(diff.size))
         return _store(g, policy)
 
@@ -591,9 +574,9 @@ def forward(model: Model, inputs: Tensor, targets: Tensor, policy: PrecisionPoli
         raise ValueError(f"batch dtype {inputs.dtype} does not match policy "
                          f"{policy.compute_dtype}")
     x, entries = _run_layers(model, inputs, policy, train)
-    rec = TapeEntry()
+    rec = {}
     loss = model.layers[-1].loss(x, targets, policy, rec)
-    rec.tensors["pred"] = x
+    rec["pred"] = x
     entries.append(rec)
     return loss, ActivationTape(entries, policy)
 
@@ -632,11 +615,11 @@ def backward(model: Model, tape: ActivationTape, loss_scale: float = 1.0,
 
 
 def _run_layers(model: Model, x: Tensor, policy: PrecisionPolicy, train: bool
-                ) -> tuple[Tensor, list[TapeEntry]]:
+                ) -> tuple[Tensor, list[dict]]:
     """Every non-loss layer in order: the last output, one tape entry each."""
     entries = []
     for i, lay in enumerate(model.layers[:-1]):
-        rec = TapeEntry()
+        rec = {}
         x = lay.forward(x, _layer_params(model.params, i), policy, rec, train,
                         _layer_params(model.state, i))
         entries.append(rec)

@@ -7,6 +7,8 @@ package reaches them.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from mptrain import binary16 as b16
@@ -59,3 +61,14 @@ def bind_f32(model: nn.Model, values: dict[str, np.ndarray]) -> None:
     """Point model.params at F32 tensors of `values`."""
     for key, arr in values.items():
         model.params[key] = T.store(arr, DType.F32)
+
+
+def reload_kernel(monkeypatch, lib=None) -> None:
+    """Make the next matmul load its kernel afresh from the library
+    `lib`, or, with lib None, find it unbuildable and use the numpy loop."""
+    def build():
+        if lib is None:
+            raise FileNotFoundError("cc")
+        return lib
+    monkeypatch.setattr(T, "_build_kernel", build)
+    monkeypatch.setattr(T, "_kernel", functools.cache(T._kernel.__wrapped__))

@@ -6,7 +6,9 @@ its config with `workloads.build_config` at the default seed, runs
 `io_cli.compare` over its arms, and compares each arm's digests, as
 `child.artifact_record` takes them (SHA-256 of steps.csv, epochs.csv
 and model.ckpt), with perfbench/digests.json.  It reads the perfbench
-files and writes none of them.
+files and writes none of them.  Two workloads run again with the matmul
+kernel unbuildable, so that the numpy loop it falls back to must write
+the same bytes.
 
 Like the benchmark's own digest check, this assumes the rounding of
 numpy's `exp`, `tanh` and `log` on the host that recorded the digests
@@ -20,6 +22,9 @@ import sys
 import pytest
 
 from mptrain import io_cli
+from mptrain import tensor as T
+
+import helpers
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -27,8 +32,7 @@ from child import artifact_record  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS, build_config  # noqa: E402
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_artifacts_match_recorded_digests(name, tmp_path):
+def _artifacts_match_recorded_digests(name, tmp_path):
     wl = WORKLOADS[name]
     data_dir, out_dir = tmp_path / "data", tmp_path / "out"
     if wl.mnist:
@@ -41,3 +45,17 @@ def test_workload_artifacts_match_recorded_digests(name, tmp_path):
            for arm in wl.arms}
     recorded = json.loads((PERFBENCH / "digests.json").read_text())
     assert got == recorded[name][str(DEFAULT_SEED)]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_artifacts_match_recorded_digests(name, tmp_path):
+    _artifacts_match_recorded_digests(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", ["rescue_small", "mnist_acc16"])
+def test_numpy_matmul_fallback_writes_the_recorded_artifacts(name, tmp_path,
+                                                             monkeypatch):
+    helpers.reload_kernel(monkeypatch)  # every matmul runs T._matmul_loop
+    with pytest.warns(RuntimeWarning, match="numpy loop"):
+        _artifacts_match_recorded_digests(name, tmp_path)
+    assert T._kernel() is None

@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 import os
 import struct
 import warnings
@@ -617,6 +618,33 @@ def _idx_images_of_height_0(tmp):
                       np.zeros((4, 28, 28), np.uint8))
 
 
+def _idx_images_with_a_spare_image(tmp, gz=False):
+    """The mnist task with training images whose header claims (2, 28, 28)
+    over the pixels of 3 images."""
+    argv = _idx_pairs(tmp, np.zeros((2, 28, 28), np.uint8),
+                      np.zeros((2, 28, 28), np.uint8))
+    path = tmp / "data" / "train-images-idx3-ubyte"
+    raw = path.read_bytes() + bytes(28 * 28)
+    if gz:
+        path.unlink()
+        path = path.with_name(path.name + ".gz")
+        raw = gzip.compress(raw)
+    path.write_bytes(raw)
+    return argv
+
+
+def _gzipped_idx_images_with_a_spare_image(tmp):
+    return _idx_images_with_a_spare_image(tmp, gz=True)
+
+
+def _checkpoint_with_a_spare_byte(tmp):
+    model = nn.Model([nn.Linear(2, 1), nn.MeanSquaredError()])
+    eng.save_checkpoint(tmp / "m.ckpt", model, eng.make_parameters(model, 0))
+    with open(tmp / "m.ckpt", "ab") as fh:
+        fh.write(b"\0")
+    return ["histogram", str(tmp / "m.ckpt")]
+
+
 @pytest.mark.parametrize("make_argv", [
     _garbage_csv, _garbage_checkpoint, _missing_file, _short_tensor_header,
     _checkpoint_without_parameters, _checkpoint_weight_of_wrong_shape,
@@ -624,7 +652,8 @@ def _idx_images_of_height_0(tmp):
     _checkpoint_state_of_wrong_shape, _checkpoint_missing_state,
     _checkpoint_extra_state, _checkpoint_momentum_in_f16, _checkpoint_state_in_f16,
     _non_numeric_cell, _idx_dims_cut_short, _idx_without_images,
-    _idx_images_of_height_0])
+    _idx_images_of_height_0, _idx_images_with_a_spare_image,
+    _gzipped_idx_images_with_a_spare_image, _checkpoint_with_a_spare_byte])
 def test_cli_malformed_file_exits_2_with_one_line(make_argv, tmp_path, capsys):
     assert io_cli.main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err

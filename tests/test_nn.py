@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,11 +53,11 @@ def test_softmax_row_sums_and_double_oracle():
     labels = rng.integers(0, 7, 32)
 
     layer = nn.SoftmaxCrossEntropy()
-    rec = nn.TapeEntry()
+    rec = {}
     loss = layer.loss(pred, T.store(labels.astype(np.float32), DType.F32),
                       helpers.MP_POLICY, rec)
 
-    sums = rec.f32["probs"].sum(axis=1)
+    sums = rec["probs"].sum(axis=1)
     assert np.abs(sums - 1.0).max() < 1e-6
 
     # brute-force double-precision softmax on the same f16-stored logits
@@ -99,13 +101,13 @@ def test_precision_placement_on_tape():
     loss, tape = nn.forward(model, x, T.zeros([8], DType.F32), helpers.MP_POLICY)
 
     for entry in tape.entries:
-        for t in entry.tensors.values():
-            assert t.dtype is DType.F16
+        for value in entry.values():
+            assert not isinstance(value, T.Tensor) or value.dtype is DType.F16
     bn_entry = tape.entries[1]
-    assert set(bn_entry.f32) >= {"mean", "invstd"}
-    assert bn_entry.f32["mean"].dtype == np.float32
+    assert set(bn_entry) >= {"mean", "invstd"}
+    assert bn_entry["mean"].dtype == np.float32
     ce_entry = tape.entries[-1]
-    assert ce_entry.f32["probs"].dtype == np.float32
+    assert ce_entry["probs"].dtype == np.float32
 
     grads = nn.backward(model, tape, 1.0)
     for g in grads.weights.values():
@@ -179,8 +181,7 @@ def test_scaling_linearity_f32_reference():
 def test_backward_acc16_vs_acc32_long_k():
     lay = nn.Linear(1, 1, bias=False)
     params = {"weight": helpers.full([1, 1], DType.F16, 1.0)}
-    rec = nn.TapeEntry()
-    rec.tensors["x"] = helpers.full([4096, 1], DType.F16, 1.0)
+    rec = {"x": helpers.full([4096, 1], DType.F16, 1.0)}
     dy = helpers.full([4096, 1], DType.F16, 1.0)
 
     _, g32 = lay.backward(dy, params, nn.PrecisionPolicy(DType.F16, AccumMode.ACC32), rec)
@@ -390,7 +391,73 @@ def test_softmax_rejects_labels_outside_class_range(bad):
     layer = nn.SoftmaxCrossEntropy()
     pred = helpers.from_values([2, 2], DType.F32, [0.5, -0.5, 1.0, 2.0])
     labels = T.store(np.array([0, 1], dtype=np.float32), DType.F32)
-    assert np.isfinite(layer.loss(pred, labels, nn.F32_POLICY, nn.TapeEntry()))
+    assert np.isfinite(layer.loss(pred, labels, nn.F32_POLICY, {}))
     bad_labels = T.store(np.array([0, bad], dtype=np.float32), DType.F32)
     with pytest.raises(ValueError, match=r"\[0, 2\)"):
-        layer.loss(pred, bad_labels, nn.F32_POLICY, nn.TapeEntry())
+        layer.loss(pred, bad_labels, nn.F32_POLICY, {})
+
+
+# Conv2d and LSTMCell cases of the bit pin below: (specs, input shape).
+# The strides and pads cover 1/2/3 and 0/1/2; one Conv2d reads [b, h, w].
+PINNED_LAYERS = [
+    (["Conv2d(2,3,3,3,stride=1,pad=0)", "MeanSquaredError"], (2, 2, 7, 7)),
+    (["Conv2d(2,3,3,2,stride=2,pad=1)", "MeanSquaredError"], (2, 2, 8, 7)),
+    (["Conv2d(3,2,2,3,stride=3,pad=2)", "MeanSquaredError"], (2, 3, 9, 8)),
+    (["Conv2d(1,2,3,3,stride=2,pad=1)", "MeanSquaredError"], (3, 7, 6)),
+    (["LSTMCell(4,3)", "MeanSquaredError"], (2, 5, 4)),
+    (["LSTMCell(6,5)", "Linear(5,3,bias=true)", "SoftmaxCrossEntropy"], (3, 3, 6)),
+]
+PINNED_POLICIES = [nn.F32_POLICY, helpers.MP_POLICY,
+                   nn.PrecisionPolicy(DType.F16, AccumMode.ACC16)]
+
+
+def _layer_bits(specs, shape, policy, scale):
+    """Loss, weight-gradient and activation-gradient bytes of one model
+    whose weights and input are drawn at the given scale."""
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    model = nn.model_from_specs(specs)
+    model.params = {k: T.store(v * np.float32(scale), policy.compute_dtype)
+                    for k, v in sorted(model.init_values(15).items())}
+    x = T.store(rng.normal(0, scale, shape).astype(np.float32), policy.compute_dtype)
+    out = nn.predictions(model, x, policy)
+    if specs[-1] == "SoftmaxCrossEntropy":
+        targets = rng.integers(0, out.shape[1], out.shape[0]).astype(np.float32)
+    else:
+        targets = rng.normal(0, scale, out.shape).astype(np.float32)
+    loss, tape = nn.forward(model, x, T.store(targets, policy.compute_dtype), policy)
+    grads = nn.backward(model, tape, 8.0)
+    parts = [np.float64(loss).tobytes()]
+    parts += [key.encode() + grads.weights[key].data.tobytes()
+              for key in sorted(grads.weights)]
+    parts += [a.data.tobytes() for a in grads.activations]
+    return b"".join(parts)
+
+
+def test_conv2d_and_lstm_bits_are_pinned():
+    # One digest over every case: a rewrite of either layer must keep
+    # every bit of its loss and gradients.
+    digest = hashlib.sha256()
+    for specs, shape in PINNED_LAYERS:
+        for policy in PINNED_POLICIES:
+            for scale in (2.0**-6, 1.0, 16.0):
+                digest.update(_layer_bits(specs, shape, policy, scale))
+    assert digest.hexdigest() == (
+        "7dafd86540cecbd06b680a3d9a5d3a22f2ec7416c5f2c08d086f3993cc5dfe38")
+
+
+def test_lstm_tapes_one_gate_tensor_per_step(monkeypatch):
+    layer = nn.LSTMCell(4, 3)
+    params = {k: T.store(v, DType.F16) for k, v in layer.init_values(16, 0).items()}
+    x = T.store(np.random.default_rng(16).normal(0, 1, (2, 5, 4)).astype(np.float32),
+                DType.F16)
+    stores, real_store = [], nn._store
+
+    def counting_store(values, policy):
+        stores.append(values.shape)
+        return real_store(values, policy)
+    monkeypatch.setattr(nn, "_store", counting_store)
+    rec = {}
+    layer.forward(x, params, helpers.MP_POLICY, rec, True, {})
+    assert len(rec) == 1 + 4 * 5           # the input; h_prev, c_prev, gates, c per step
+    assert stores == [(2, 12), (2, 3), (2, 3)] * 5   # gates, c and h per step
+    assert rec["t0.gates"].shape == (2, 12)

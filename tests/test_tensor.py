@@ -1,5 +1,5 @@
-import functools
 import io
+import platform
 import shutil
 import subprocess
 import warnings
@@ -258,10 +258,7 @@ def test_matmul_kernel_matches_numpy_loop_bit_for_bit():
 
 
 def test_matmul_without_kernel_warns_once_and_keeps_the_bits(monkeypatch):
-    def no_compiler():
-        raise FileNotFoundError("cc")
-    monkeypatch.setattr(T, "_build_kernel", no_compiler)
-    monkeypatch.setattr(T, "_kernel", functools.cache(T._kernel.__wrapped__))
+    helpers.reload_kernel(monkeypatch)
     rng = np.random.default_rng(12)
     a = T.store(rng.normal(0, 2, (5, 40)).astype(np.float32), T.DType.F16)
     b = T.store(rng.normal(0, 2, (40, 3)).astype(np.float32), T.DType.F16)
@@ -282,6 +279,35 @@ def test_matmul_kernel_compiles_without_warnings(tmp_path):
                            "-o", str(tmp_path / "mm.so"), str(T._KERNEL_SOURCE)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(shutil.which("cc") is None or platform.machine() != "x86_64",
+                    reason="needs a C compiler on x86-64")
+def test_matmul_kernel_default_clone_matches_numpy_loop(tmp_path, monkeypatch):
+    # The dispatcher picks the x86-64-v3 clone wherever the CPU has it, so
+    # the baseline clone is built here alone: the source less its
+    # target_clones line, with the package's flags.
+    source = T._KERNEL_SOURCE.read_text()
+    baseline = "".join(line for line in source.splitlines(keepends=True)
+                       if "target_clones" not in line)
+    assert baseline != source
+    (tmp_path / "mm.c").write_text(baseline)
+    subprocess.run(["cc", *T._KERNEL_FLAGS, "-o", str(tmp_path / "mm.so"),
+                    str(tmp_path / "mm.c")], check=True, capture_output=True)
+    helpers.reload_kernel(monkeypatch, tmp_path / "mm.so")
+    rng = np.random.default_rng(1711)
+    for case in range(400):
+        mode = (T.AccumMode.ACC32, T.AccumMode.ACC16)[case % 2]
+        out_dtype = (T.DType.F16, T.DType.F32)[case // 2 % 2]
+        k = int(rng.choice([1, 2, 3, 7, 64, 300], p=[.1, .1, .1, .25, .3, .15]))
+        m, n = (int(rng.choice([1, rng.integers(2, 12)])) for _ in range(2))
+        rate = float(rng.choice([0.0, 0.5 / k, 0.05]))
+        a = _adversarial(rng, (m, k), T.DType.F16, rate)
+        b = _adversarial(rng, (k, n), T.DType.F16, rate)
+        got = T.matmul(a, b, mode, out_dtype)
+        assert helpers.bits_equal(got, T._matmul_loop(a, b, mode, out_dtype)), \
+            (case, mode, out_dtype, (m, k, n))
+    assert T._kernel() is not None
 
 
 def test_seq_sum_store_f32_accumulation():
