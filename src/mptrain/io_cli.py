@@ -25,6 +25,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, field
+from html import escape
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -268,21 +269,21 @@ def _read_input(read, path, *args):
         return read(path, *args)
     except DataError:
         raise
-    except (OSError, ValueError, KeyError, IndexError) as e:
+    except (OSError, EOFError, ValueError, KeyError, IndexError) as e:
         raise DataError(f"cannot read {path}: {e}") from e
 
 
-def _open_idx(path):
-    gz = str(path) + ".gz"
-    if os.path.exists(path):
-        return open(path, "rb")
-    if os.path.exists(gz):
-        return gzip.open(gz, "rb")
-    raise DataError(f"missing IDX file {path} (or {gz})")
+def _find_idx(path) -> str:
+    """The IDX file to read: path, or else path.gz."""
+    for name in (path, path + ".gz"):
+        if os.path.exists(name):
+            return name
+    raise DataError(f"missing IDX file {path} (or {path}.gz)")
 
 
 def _read_idx(path, expect_magic: int) -> np.ndarray:
-    with _open_idx(path) as fh:
+    """The IDX array in path, gunzipped where path ends in .gz."""
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as fh:
         head = fh.read(4)
         if len(head) != 4:
             raise DataError(f"{path}: truncated magic")
@@ -315,9 +316,9 @@ def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
                         f"or ${DATA_DIR_ENV})")
 
     def load_pair(img_name, lab_name, split):
-        images = _read_input(_read_idx, os.path.join(data_dir, img_name),
+        images = _read_input(_read_idx, _find_idx(os.path.join(data_dir, img_name)),
                              IDX_IMAGES_MAGIC)
-        labels = _read_input(_read_idx, os.path.join(data_dir, lab_name),
+        labels = _read_input(_read_idx, _find_idx(os.path.join(data_dir, lab_name)),
                              IDX_LABELS_MAGIC)
         if labels.max() > 9:
             raise DataError(f"{split}: label {labels.max()} out of range [0, 9]")
@@ -701,7 +702,7 @@ def emit_plot(csv_paths: list, out_path, metric: Optional[str] = None,
     ]
     if title:
         parts.append(f'<text x="{width/2:.1f}" y="24" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="15">{title}</text>')
+                     f'font-family="sans-serif" font-size="15">{escape(title)}</text>')
 
     for t in _nice_ticks(x_lo, x_hi):
         px = sx(t)
@@ -724,7 +725,7 @@ def emit_plot(csv_paths: list, out_path, metric: Optional[str] = None,
                  f'font-family="sans-serif" font-size="12">epoch / iteration</text>')
     parts.append(f'<text x="18" y="{mt + ph/2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 18 {mt + ph/2:.1f})">{metric_name}'
+                 f'transform="rotate(-90 18 {mt + ph/2:.1f})">{escape(metric_name)}'
                  f'{" (log)" if logy else ""}</text>')
 
     for i, (label, x, y) in enumerate(series):
@@ -737,7 +738,7 @@ def emit_plot(csv_paths: list, out_path, metric: Optional[str] = None,
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="11">{label}</text>')
+                     f'font-size="11">{escape(label)}</text>')
 
     parts.append("</svg>")
     with open(out_path, "w") as fh:

@@ -3,8 +3,10 @@
 Layer math follows one discipline: tensors that cross layer boundaries
 (activations, activation gradients, weight gradients) are stored in the
 policy's compute dtype (F16 in mixed precision, F32 in baseline), while
-the arithmetic inside a layer runs in f32.  Dot products accumulate per
-the policy's AccumMode; batch statistics, softmax normalizers and other
+the arithmetic inside a layer runs in f32.  Every rounding a layer
+makes is one `_store`.  Dot products accumulate per the policy's
+AccumMode, and the f32 accumulator that `T.matmul` returns is stored by
+the layer or used in f32; batch statistics, softmax normalizers and other
 reductions accumulate in f32 and exist only as f32 side-band values on
 the tape.  A layer's tape record is one dict of what its backward reads:
 stored Tensors in the compute dtype, side-band values as ndarrays.
@@ -150,21 +152,21 @@ class Linear(Layer):
             raise ShapeError(f"Linear expected [batch,...] of {self.in_features} "
                              f"features, got {x.shape}")
         rec["x"] = x
-        acc = T.matmul(flat, params["weight"], policy.accum, DType.F32).data
+        acc = T.matmul(flat, params["weight"], policy.accum)
         if self.bias:
             acc = acc + params["bias"].widen()[None, :]
         return _store(acc, policy)  # bias joins in f32, one store
 
     def backward(self, dy, params, policy, rec, want_dx=True):
         x = rec["x"]
-        grads = {"weight": T.matmul(T.transpose(T.reshape(x, (x.shape[0], -1))), dy,
-                                    policy.accum, policy.compute_dtype)}
+        flat = T.reshape(x, (x.shape[0], -1))
+        grads = {"weight": _store(T.matmul(T.transpose(flat), dy, policy.accum), policy)}
         if self.bias:
             grads["bias"] = _store(T.seq_sum(dy.widen(), 0), policy)
         dx = None
         if want_dx:
-            dx = T.reshape(T.matmul(dy, T.transpose(params["weight"]), policy.accum,
-                                    policy.compute_dtype), x.shape)
+            dx = T.reshape(_store(T.matmul(dy, T.transpose(params["weight"]),
+                                           policy.accum), policy), x.shape)
         return dx, grads
 
 
@@ -220,7 +222,7 @@ class Conv2d(Layer):
             b * oh * ow, c * self.kh * self.kw), x.dtype)
         wmat = T.reshape(params["weight"],
                          (self.out_channels, c * self.kh * self.kw))
-        acc = T.matmul(cols_t, T.transpose(wmat), policy.accum, DType.F32).data
+        acc = T.matmul(cols_t, T.transpose(wmat), policy.accum)
         acc = acc + params["bias"].widen()[None, :]
         y = _store(acc, policy)
         rec["x"] = x
@@ -237,8 +239,7 @@ class Conv2d(Layer):
         dy_t = T.reshape(T.transpose(dy, (0, 2, 3, 1)),
                          (b * oh * ow, self.out_channels))
 
-        dw2d = T.matmul(T.transpose(cols_t), dy_t, policy.accum,
-                        policy.compute_dtype)
+        dw2d = _store(T.matmul(T.transpose(cols_t), dy_t, policy.accum), policy)
         dw = T.reshape(T.transpose(dw2d),
                        (self.out_channels, c, self.kh, self.kw))
         db = _store(T.seq_sum(dy_t.widen(), 0), policy)
@@ -247,8 +248,8 @@ class Conv2d(Layer):
 
         wmat = T.reshape(params["weight"],
                          (self.out_channels, c * self.kh * self.kw))
-        dcols = T.matmul(dy_t, wmat, policy.accum, DType.F32).data
-        dcols = dcols.reshape(b, oh, ow, c, self.kh, self.kw)
+        dcols = T.matmul(dy_t, wmat, policy.accum).reshape(
+            b, oh, ow, c, self.kh, self.kw)
 
         # col2im: overlapping patches add in f32, (kh, kw) loop order fixed
         dxp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=np.float32)
@@ -376,8 +377,7 @@ class BatchNorm(Layer):
         sum_dxhat_xhat = T.seq_sum(dxhat * xhat, axis=0)
         dx = (invstd[None, :] / b) * (b * dxhat - sum_dxhat[None, :]
                                       - xhat * sum_dxhat_xhat[None, :])
-        grads = {"gamma": T.store(dgamma, policy.compute_dtype),
-                 "beta": T.store(dbeta, policy.compute_dtype)}
+        grads = {"gamma": _store(dgamma, policy), "beta": _store(dbeta, policy)}
         return _store(dx, policy), grads
 
 
@@ -413,9 +413,8 @@ class LSTMCell(Layer):
         xs = rec["xs"] = T.transpose(x, (1, 0, 2))  # [time, batch, features]
         bias = params["bias"].widen()[None, :]
         for t in range(steps):
-            z = (T.matmul(T.slice_(xs, t), params["w_ih"], policy.accum, DType.F32).data
-                 + T.matmul(h_t, params["w_hh"], policy.accum, DType.F32).data
-                 + bias)
+            z = (T.matmul(T.slice_(xs, t), params["w_ih"], policy.accum)
+                 + T.matmul(h_t, params["w_hh"], policy.accum) + bias)
             zi, zf, zg, zo = np.split(z, 4, axis=1)
             gates = _store(np.concatenate(
                 [_sigmoid(zi), _sigmoid(zf), np.tanh(zg), _sigmoid(zo)], axis=1), policy)
@@ -457,23 +456,18 @@ class LSTMCell(Layer):
             dz = _store(np.concatenate([dzi, dzf, dzg, dzo], axis=1), policy)
 
             h_prev = rec[f"t{t}.h_prev"]
-            dw_ih += T.matmul(T.transpose(T.slice_(xs, t)), dz, policy.accum, DType.F32).data
-            dw_hh += T.matmul(T.transpose(h_prev), dz, policy.accum, DType.F32).data
+            dw_ih += T.matmul(T.transpose(T.slice_(xs, t)), dz, policy.accum)
+            dw_hh += T.matmul(T.transpose(h_prev), dz, policy.accum)
             db += T.seq_sum(dz.widen(), axis=0)
 
             if want_dx:
-                dx_steps.append(T.matmul(dz, w_ih_t, policy.accum,
-                                         policy.compute_dtype))
-            dh = T.matmul(dz, w_hh_t, policy.accum, policy.compute_dtype)
+                dx_steps.append(T.matmul(dz, w_ih_t, policy.accum))
+            dh = _store(T.matmul(dz, w_hh_t, policy.accum), policy)
             dc = _store(dcw * gf, policy)
 
-        dx = None
-        if want_dx:
-            dx = T.Tensor(np.stack([d.data for d in reversed(dx_steps)], axis=1),
-                          policy.compute_dtype)
-        grads = {"w_ih": T.store(dw_ih, policy.compute_dtype),
-                 "w_hh": T.store(dw_hh, policy.compute_dtype),
-                 "bias": T.store(db, policy.compute_dtype)}
+        dx = _store(np.stack(dx_steps[::-1], axis=1), policy) if want_dx else None
+        grads = {"w_ih": _store(dw_ih, policy), "w_hh": _store(dw_hh, policy),
+                 "bias": _store(db, policy)}
         return dx, grads
 
 

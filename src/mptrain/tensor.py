@@ -6,7 +6,8 @@ patterns exactly to f32, computes there, and rounds once on store, so
 the only places binary16 rounding happens are explicit stores.
 
 Reproducibility contract: every reduction and matmul accumulates in a
-fixed order.  Matmul accumulates sequentially over the inner index k.
+fixed order.  Matmul accumulates sequentially over the inner index k
+and returns its f32 accumulator, which the caller stores.
 Reductions fold their axis sequentially from index 0; full reductions
 fold the leading axis first, then recurse on the remaining shape.  This
 makes results bit-identical run to run, at the cost of never delegating
@@ -119,17 +120,18 @@ def cast(t: Tensor, dtype: DType) -> Tensor:
     return Tensor(b16.to_f32_array(t.data), DType.F32)
 
 
-def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32,
-           out_dtype: DType | None = None) -> Tensor:
-    """[M,K] @ [K,N] with the accumulator semantics picked by `mode`.
+def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32) -> np.ndarray:
+    """[M,K] @ [K,N] with the accumulator semantics picked by `mode`: the
+    f32 accumulator as a fresh array, which the caller stores.
 
     Each product is formed in f32 and added to an f32 accumulator in
-    order k = 0..K-1.  ACC32 rounds the result once on store.  ACC16
-    (products are still exact: 11-bit significands) rounds the
-    accumulator to the binary16 grid after every add, modeling hardware
-    whose accumulator is f16.  Every NaN of the result is the canonical
-    one.  The loop runs in the compiled kernel `_matmul.c`, or, where it
-    cannot be built, in `_matmul_loop` with the same bits.
+    order k = 0..K-1.  ACC32 leaves the sum in f32.  ACC16 (products are
+    still exact: 11-bit significands) rounds the accumulator to the
+    binary16 grid after every add, modeling hardware whose accumulator
+    is f16, so its result is already on that grid.  Every NaN of the
+    result is the canonical one.  The loop runs in the compiled kernel
+    `_matmul.c`, or, where it cannot be built, in `_matmul_loop` with
+    the same bits.
     """
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ValueError("matmul expects 2-d tensors")
@@ -141,18 +143,16 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32,
         raise ValueError("matmul operands must share a dtype")
     if mode is AccumMode.ACC16 and a.dtype is not DType.F16:
         raise ValueError("ACC16 accumulation is defined for F16 operands only")
-    if out_dtype is None:
-        out_dtype = a.dtype
 
     kernel = _kernel()
     if kernel is None:
-        return _matmul_loop(a, b, mode, out_dtype)
+        return _matmul_loop(a, b, mode)
     acc = np.empty((m, n), dtype=np.float32)
     kernel(a.widen(), b.widen(), acc, m, k, n, int(mode is AccumMode.ACC16))
-    return store(b16.canonicalize_f32_nans(acc), out_dtype)
+    return b16.canonicalize_f32_nans(acc)
 
 
-def _matmul_loop(a: Tensor, b: Tensor, mode: AccumMode, out_dtype: DType) -> Tensor:
+def _matmul_loop(a: Tensor, b: Tensor, mode: AccumMode) -> np.ndarray:
     """`matmul` on checked operands as a numpy loop over k: the fallback
     where the kernel cannot be built, and the tests' reference for it."""
     (m, k), n = a.shape, b.shape[1]
@@ -167,7 +167,7 @@ def _matmul_loop(a: Tensor, b: Tensor, mode: AccumMode, out_dtype: DType) -> Ten
             np.add(acc, prod, out=acc)
             if acc16:
                 acc = b16.to_f32_array(b16.from_f32_array(acc))
-    return store(b16.canonicalize_f32_nans(acc), out_dtype)
+    return b16.canonicalize_f32_nans(acc)
 
 
 _KERNEL_SOURCE = pathlib.Path(__file__).with_name("_matmul.c")

@@ -51,9 +51,10 @@ def item(t: Tensor) -> float:
     return float(t.widen().reshape(()))
 
 
-def bits_equal(a: Tensor, b: Tensor) -> bool:
-    """Bit-pattern equality (distinguishes -0/+0, compares NaNs equal)."""
-    return (a.shape == b.shape and a.dtype is b.dtype
+def bits_equal(a, b) -> bool:
+    """Bit-pattern equality of two Tensors or two ndarrays (distinguishes
+    -0/+0, compares NaNs equal)."""
+    return (a.shape == b.shape and a.dtype == b.dtype
             and a.data.tobytes() == b.data.tobytes())
 
 

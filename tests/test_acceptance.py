@@ -165,8 +165,8 @@ def test_criterion_03_swamping():
 def test_criterion_04_accumulation():
     row = helpers.full([1, 4096], DType.F16, 1.0)
     col = helpers.full([4096, 1], DType.F16, 1.0)
-    assert helpers.item(T.matmul(row, col, AccumMode.ACC16, DType.F16)) == 2048.0
-    assert helpers.item(T.matmul(row, col, AccumMode.ACC32, DType.F16)) == 4096.0
+    assert helpers.item(T.store(T.matmul(row, col, AccumMode.ACC16), DType.F16)) == 2048.0
+    assert helpers.item(T.store(T.matmul(row, col, AccumMode.ACC32), DType.F16)) == 4096.0
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,8 @@ package.
 
 The modules form a stack: each imports only the mptrain modules below
 it, and io_cli names no layer class, so each layer owns how it reads
-its input.
+its input.  nn names `T.store` only inside `_store`, so every rounding
+a layer makes is one `_store`.
 """
 
 import ast
@@ -119,3 +120,14 @@ def test_io_cli_names_no_layer_class():
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert sorted(named & set(nn._LAYER_KINDS)) == []
+
+
+def test_nn_rounds_only_through_store():
+    tree = ast.parse((ROOT / "src" / "mptrain" / "nn.py").read_text())
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_store"
+              for node in ast.walk(fn)}
+    outside = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "store"
+               and id(node) not in inside]
+    assert inside and outside == []

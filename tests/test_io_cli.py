@@ -3,6 +3,7 @@ import gzip
 import os
 import struct
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -373,6 +374,18 @@ def test_emit_plot(tmp_path):
     assert "<polyline" in out3.read_text()
 
 
+def test_emit_plot_escapes_its_text(tmp_path):
+    csv = tmp_path / "fp32 <&> mp" / "epochs.csv"
+    csv.parent.mkdir()
+    csv.write_text("epoch,loss<&>\n0,1.0\n1,0.5\n")
+    out = tmp_path / "p.svg"
+    assert io_cli.main(["plot", str(csv), "-o", str(out),
+                        "--title", "loss <fp32 & mp>"]) == 0
+    texts = [el.text for el in ElementTree.parse(out).iter()
+             if el.tag.endswith("text")]
+    assert {"loss <fp32 & mp>", "loss<&>", "fp32 <&> mp"} <= set(texts)
+
+
 def test_emit_plot_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("epoch,val_loss\n")
@@ -637,6 +650,17 @@ def _gzipped_idx_images_with_a_spare_image(tmp):
     return _idx_images_with_a_spare_image(tmp, gz=True)
 
 
+def _gzipped_idx_cut_short(tmp):
+    """The mnist task with gzipped training images that lack the gzip
+    trailer."""
+    argv = _idx_pairs(tmp, np.zeros((2, 28, 28), np.uint8),
+                      np.zeros((2, 28, 28), np.uint8))
+    path = tmp / "data" / "train-images-idx3-ubyte"
+    path.with_name(path.name + ".gz").write_bytes(gzip.compress(path.read_bytes())[:-8])
+    path.unlink()
+    return argv
+
+
 def _checkpoint_with_a_spare_byte(tmp):
     model = nn.Model([nn.Linear(2, 1), nn.MeanSquaredError()])
     eng.save_checkpoint(tmp / "m.ckpt", model, eng.make_parameters(model, 0))
@@ -653,11 +677,14 @@ def _checkpoint_with_a_spare_byte(tmp):
     _checkpoint_extra_state, _checkpoint_momentum_in_f16, _checkpoint_state_in_f16,
     _non_numeric_cell, _idx_dims_cut_short, _idx_without_images,
     _idx_images_of_height_0, _idx_images_with_a_spare_image,
-    _gzipped_idx_images_with_a_spare_image, _checkpoint_with_a_spare_byte])
+    _gzipped_idx_images_with_a_spare_image, _gzipped_idx_cut_short,
+    _checkpoint_with_a_spare_byte])
 def test_cli_malformed_file_exits_2_with_one_line(make_argv, tmp_path, capsys):
     assert io_cli.main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+    if make_argv in (_gzipped_idx_images_with_a_spare_image, _gzipped_idx_cut_short):
+        assert "train-images-idx3-ubyte.gz:" in err  # the file read, not the absent one
 
 
 def _idx_images_of_dims(dims):

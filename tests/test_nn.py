@@ -461,3 +461,11 @@ def test_lstm_tapes_one_gate_tensor_per_step(monkeypatch):
     assert len(rec) == 1 + 4 * 5           # the input; h_prev, c_prev, gates, c per step
     assert stores == [(2, 12), (2, 3), (2, 3)] * 5   # gates, c and h per step
     assert rec["t0.gates"].shape == (2, 12)
+
+    # backward rounds only through _store: dz, dh and dc per step, then
+    # dx once for every step and each weight gradient once
+    stores.clear()
+    layer.backward(T.store(np.ones((2, 3), np.float32), DType.F16), params,
+                   helpers.MP_POLICY, rec)
+    assert stores == ([(2, 12), (2, 3), (2, 3)] * 5
+                      + [(2, 5, 4), (4, 12), (3, 12), (12,)])

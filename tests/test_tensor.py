@@ -60,10 +60,10 @@ def test_matmul_ones_accumulation():
     ones_row = helpers.full([1, 4096], T.DType.F16, 1.0)
     ones_col = helpers.full([4096, 1], T.DType.F16, 1.0)
 
-    acc16 = T.matmul(ones_row, ones_col, T.AccumMode.ACC16, T.DType.F16)
+    acc16 = T.store(T.matmul(ones_row, ones_col, T.AccumMode.ACC16), T.DType.F16)
     assert helpers.item(acc16) == 2048.0
 
-    acc32 = T.matmul(ones_row, ones_col, T.AccumMode.ACC32, T.DType.F16)
+    acc32 = T.store(T.matmul(ones_row, ones_col, T.AccumMode.ACC32), T.DType.F16)
     assert helpers.item(acc32) == 4096.0
 
 
@@ -73,7 +73,7 @@ def test_matmul_1x1_equals_h_mul():
     for a, b in zip(vals[0::2], vals[1::2]):
         ta = helpers.from_values([1, 1], T.DType.F16, [float(a)])
         tb = helpers.from_values([1, 1], T.DType.F16, [float(b)])
-        got = T.matmul(ta, tb, T.AccumMode.ACC16, T.DType.F16)
+        got = T.store(T.matmul(ta, tb, T.AccumMode.ACC16), T.DType.F16)
         assert got.data[0, 0] == oracles.half_mul(int(ta.data[0, 0]),
                                                    int(tb.data[0, 0]))
 
@@ -115,7 +115,7 @@ def test_matmul_acc16_matches_scalar_loop():
     rng = np.random.default_rng(2)
     a = T.store(rng.normal(0, 2, (3, 17)).astype(np.float32), T.DType.F16)
     b = T.store(rng.normal(0, 2, (17, 4)).astype(np.float32), T.DType.F16)
-    got = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F16)
+    got = T.store(T.matmul(a, b, T.AccumMode.ACC16), T.DType.F16)
     ref = _scalar_acc16(a.data, b.data)
     assert np.array_equal(got.data, ref)
 
@@ -124,7 +124,7 @@ def test_matmul_acc32_matches_scalar_loop():
     rng = np.random.default_rng(3)
     a = T.store(rng.normal(0, 2, (4, 23)).astype(np.float32), T.DType.F16)
     b = T.store(rng.normal(0, 2, (23, 5)).astype(np.float32), T.DType.F16)
-    got = T.matmul(a, b, T.AccumMode.ACC32, T.DType.F32)
+    got = T.store(T.matmul(a, b, T.AccumMode.ACC32), T.DType.F32)
     ref = _scalar_acc32(a.data, b.data)
     assert np.array_equal(got.data.view(np.uint32), ref.view(np.uint32))
 
@@ -137,7 +137,7 @@ def test_matmul_acc16_equals_hmul_hadd_chain_on_exact_products():
     choices = np.array([0.25, 0.5, 1.0, 2.0, 4.0, -0.5, -1.0, -2.0], dtype=np.float32)
     a = T.store(rng.choice(choices, (2, 9)), T.DType.F16)
     b = T.store(rng.choice(choices, (9, 3)), T.DType.F16)
-    got = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F16)
+    got = T.store(T.matmul(a, b, T.AccumMode.ACC16), T.DType.F16)
     for i in range(2):
         for j in range(3):
             acc = 0x0000
@@ -156,7 +156,7 @@ def test_matmul_acc32_matches_exact_rational_oracle():
         m, k, n = rng.integers(1, 9, 3)
         a = T.store(rng.choice(grid, (m, k)), T.DType.F16)
         b = T.store(rng.choice(grid, (k, n)), T.DType.F16)
-        got = T.matmul(a, b, T.AccumMode.ACC32, T.DType.F32)
+        got = T.store(T.matmul(a, b, T.AccumMode.ACC32), T.DType.F32)
         aw, bw = a.widen(), b.widen()
         for i in range(m):
             for j in range(n):
@@ -180,13 +180,13 @@ def test_matmul_shape_and_dtype_errors():
 def test_matmul_nonfinite_propagates():
     a = helpers.from_values([1, 2], T.DType.F16, [65504.0, 65504.0])
     b = helpers.from_values([2, 1], T.DType.F16, [65504.0, 65504.0])
-    out = T.matmul(a, b, T.AccumMode.ACC32, T.DType.F16)
+    out = T.store(T.matmul(a, b, T.AccumMode.ACC32), T.DType.F16)
     assert out.data[0, 0] == oracles.HALF_POS_INF
 
     # ACC16 with an F32 result: inf + -inf is the canonical f32 NaN
     a = helpers.from_values([1, 2], T.DType.F16, [np.inf, -np.inf])
     b = helpers.from_values([2, 1], T.DType.F16, [1.0, 1.0])
-    out = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F32)
+    out = T.store(T.matmul(a, b, T.AccumMode.ACC16), T.DType.F32)
     assert out.data.view(np.uint32)[0, 0] == 0x7FC00000
 
     # subnormal products (2^-24 kept, a later 2^-26 lost to the f16
@@ -195,8 +195,8 @@ def test_matmul_nonfinite_propagates():
                       [2.0**-12, 2.0**-14, -0.0, -0.0, 2.0**-13, 2.0**-24])
     b = helpers.from_values([3, 2], T.DType.F16,
                       [2.0**-12, -1.0, 2.0**-12, -0.0, 3.0, 2.0**-10])
-    wide = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F32)
-    half = T.matmul(a, b, T.AccumMode.ACC16, T.DType.F16)
+    wide = T.store(T.matmul(a, b, T.AccumMode.ACC16), T.DType.F32)
+    half = T.store(T.matmul(a, b, T.AccumMode.ACC16), T.DType.F16)
     assert helpers.bits_equal(wide, T.cast(half, T.DType.F32))
     assert wide.data[0, 0] == np.float32(2.0**-24)
 
@@ -217,7 +217,7 @@ _INF, _NEG_INF, _ONE, _ZERO = 0x7F800000, 0xFF800000, 0x3F800000, 0x00000000
 def test_matmul_acc32_f32_result_nan_is_canonical(a_bits, b_bits):
     a, b = _f32_tensor((1, 2), a_bits), _f32_tensor((2, 1), b_bits)
     for fn in (T.matmul, T._matmul_loop):
-        out = fn(a, b, T.AccumMode.ACC32, T.DType.F32)
+        out = T.store(fn(a, b, T.AccumMode.ACC32), T.DType.F32)
         assert out.data.view(np.uint32)[0, 0] == 0x7FC00000
 
 
@@ -246,15 +246,14 @@ def test_matmul_kernel_matches_numpy_loop_bit_for_bit():
              (T.DType.F16, T.AccumMode.ACC16)]
     for case in range(320):
         dtype, mode = paths[case % 3]
-        out_dtype = (T.DType.F16, T.DType.F32)[case // 3 % 2]
         k = int(rng.choice([1, 2, 3, 7, 64, 300, 3000], p=[.1, .1, .1, .2, .3, .15, .05]))
         m, n = (int(rng.choice([1, rng.integers(2, 12)])) for _ in range(2))
         rate = float(rng.choice([0.0, 0.5 / k, 0.05]))
         a = _adversarial(rng, (m, k), dtype, rate)
         b = _adversarial(rng, (k, n), dtype, rate)
-        got = T.matmul(a, b, mode, out_dtype)
-        assert helpers.bits_equal(got, T._matmul_loop(a, b, mode, out_dtype)), \
-            (case, dtype, mode, out_dtype, (m, k, n))
+        got = T.matmul(a, b, mode)
+        assert helpers.bits_equal(got, T._matmul_loop(a, b, mode)), \
+            (case, dtype, mode, (m, k, n))
 
 
 def test_matmul_without_kernel_warns_once_and_keeps_the_bits(monkeypatch):
@@ -264,13 +263,13 @@ def test_matmul_without_kernel_warns_once_and_keeps_the_bits(monkeypatch):
     b = T.store(rng.normal(0, 2, (40, 3)).astype(np.float32), T.DType.F16)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = [T.matmul(a, b, mode, T.DType.F32)
+        got = [T.matmul(a, b, mode)
                for mode in (T.AccumMode.ACC16, T.AccumMode.ACC32)]
     assert [str(w.message).count("numpy loop") for w in caught] == [1]
     assert T._kernel() is None
     monkeypatch.undo()
     for out, mode in zip(got, (T.AccumMode.ACC16, T.AccumMode.ACC32)):
-        assert helpers.bits_equal(out, T.matmul(a, b, mode, T.DType.F32))
+        assert helpers.bits_equal(out, T.matmul(a, b, mode))
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -298,15 +297,14 @@ def test_matmul_kernel_default_clone_matches_numpy_loop(tmp_path, monkeypatch):
     rng = np.random.default_rng(1711)
     for case in range(400):
         mode = (T.AccumMode.ACC32, T.AccumMode.ACC16)[case % 2]
-        out_dtype = (T.DType.F16, T.DType.F32)[case // 2 % 2]
         k = int(rng.choice([1, 2, 3, 7, 64, 300], p=[.1, .1, .1, .25, .3, .15]))
         m, n = (int(rng.choice([1, rng.integers(2, 12)])) for _ in range(2))
         rate = float(rng.choice([0.0, 0.5 / k, 0.05]))
         a = _adversarial(rng, (m, k), T.DType.F16, rate)
         b = _adversarial(rng, (k, n), T.DType.F16, rate)
-        got = T.matmul(a, b, mode, out_dtype)
-        assert helpers.bits_equal(got, T._matmul_loop(a, b, mode, out_dtype)), \
-            (case, mode, out_dtype, (m, k, n))
+        got = T.matmul(a, b, mode)
+        assert helpers.bits_equal(got, T._matmul_loop(a, b, mode)), \
+            (case, mode, (m, k, n))
     assert T._kernel() is not None
 
 
