@@ -1,0 +1,187 @@
+/* The compiled loops of mptrain, loaded by _native.py:
+
+   mm          c = a @ b for a [m,k] and b [k,n], all f32 and C-contiguous
+               (tensor.matmul).  Every c[i,j] starts at +0 and adds
+               a[i,p]*b[p,j] for p = 0..k-1 in that order; only the
+               independent j loop is vectorized.  With acc16 the f32 sum
+               of each add is rounded to binary16 (nearest even) and
+               widened back before the next add.
+   f32_to_f16  f32 -> binary16 pattern, nearest even, every NaN 0x7E00
+               (binary16.from_f32_array).
+   f16_to_f32  binary16 pattern -> f32, exact, every NaN 0x7FC00000
+               (binary16.to_f32_array).
+   fold_rows   out[j] = +0 + x[0,j] + x[1,j] + ... + x[rows-1,j], rows in
+               order, vectorized across j (tensor.seq_sum).  NaNs are
+               left for the caller to make canonical.
+
+   Each loop comes twice.  The _avx2 variant needs AVX2 and F16C: it
+   rounds eight acc16 columns and converts eight values at a time with
+   vcvtps2ph (immediate round-to-nearest-even, so MXCSR plays no part)
+   and vcvtph2ps.  The _portable variant is plain C; it converts through
+   _Float16 one element at a time, with F16C scalar instructions or
+   libgcc calls as the target allows.  vector_path() says whether this
+   CPU runs the _avx2 variant; the loader asks once.  Both variants give
+   the same bits, and so do the numpy loops the callers fall back to.
+
+   Build with -ffp-contract=off, so that no product is fused into its
+   add.  The _avx2 variant is not built with FMA either. */
+#include <stdint.h>
+#include <string.h>
+#ifdef __x86_64__
+#include <immintrin.h>
+#endif
+
+#define F16_NAN 0x7E00
+#define F32_NAN 0x7FC00000u
+
+static inline __attribute__((always_inline)) void
+acc32_row(float *ci, const float *bp, float av, long n)
+{
+    for (long j = 0; j < n; j++)
+        ci[j] += av * bp[j];
+}
+
+static inline __attribute__((always_inline)) void
+fold(const float *x, float *out, long rows, long cols)
+{
+    for (long j = 0; j < cols; j++)
+        out[j] = 0.0f;
+    for (long r = 0; r < rows; r++)
+        for (long j = 0; j < cols; j++)
+            out[j] += x[r * cols + j];
+}
+
+void mm_portable(const float *a, const float *b, float *c,
+                 long m, long k, long n, int acc16)
+{
+    for (long i = 0; i < m; i++) {
+        float *ci = c + i * n;
+        memset(ci, 0, n * sizeof *ci);
+        for (long p = 0; p < k; p++) {
+            const float av = a[i * k + p], *bp = b + p * n;
+            if (acc16)
+                for (long j = 0; j < n; j++)
+                    ci[j] = (float)(_Float16)(ci[j] + av * bp[j]);
+            else
+                acc32_row(ci, bp, av, n);
+        }
+    }
+}
+
+void f32_to_f16_portable(const float *x, uint16_t *h, long n)
+{
+    for (long i = 0; i < n; i++) {
+        _Float16 v = (_Float16)x[i];
+        memcpy(h + i, &v, sizeof v);
+        if (x[i] != x[i])
+            h[i] = F16_NAN;
+    }
+}
+
+void f16_to_f32_portable(const uint16_t *h, float *x, long n)
+{
+    const uint32_t nan = F32_NAN;
+    for (long i = 0; i < n; i++) {
+        _Float16 v;
+        memcpy(&v, h + i, sizeof v);
+        x[i] = (float)v;
+        if ((h[i] & 0x7FFF) > 0x7C00)
+            memcpy(x + i, &nan, sizeof nan);
+    }
+}
+
+void fold_rows_portable(const float *x, float *out, long rows, long cols)
+{
+    fold(x, out, rows, cols);
+}
+
+#ifdef __x86_64__
+#define AVX2 __attribute__((target("avx2,f16c")))
+
+int vector_path(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
+}
+
+static inline AVX2 __attribute__((always_inline)) __m128i store8(__m256 v)
+{
+    __m128i h = _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT);
+    __m128i nan = _mm_cmpgt_epi16(_mm_and_si128(h, _mm_set1_epi16(0x7FFF)),
+                                  _mm_set1_epi16(0x7C00));
+    return _mm_blendv_epi8(h, _mm_set1_epi16(F16_NAN), nan);
+}
+
+static inline AVX2 __attribute__((always_inline)) __m256 widen8(__m128i h)
+{
+    __m256 x = _mm256_cvtph_ps(h);
+    __m256 nan = _mm256_castsi256_ps(_mm256_set1_epi32((int)F32_NAN));
+    return _mm256_blendv_ps(x, nan, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
+AVX2 void mm_avx2(const float *a, const float *b, float *c,
+                  long m, long k, long n, int acc16)
+{
+    for (long i = 0; i < m; i++) {
+        float *ci = c + i * n;
+        memset(ci, 0, n * sizeof *ci);
+        for (long p = 0; p < k; p++) {
+            const float av = a[i * k + p], *bp = b + p * n;
+            if (!acc16) {
+                acc32_row(ci, bp, av, n);
+                continue;
+            }
+            const __m256 av8 = _mm256_set1_ps(av);
+            long j = 0;
+            for (; j + 8 <= n; j += 8) {
+                __m256 s = _mm256_add_ps(_mm256_loadu_ps(ci + j),
+                                         _mm256_mul_ps(av8, _mm256_loadu_ps(bp + j)));
+                _mm256_storeu_ps(ci + j, _mm256_cvtph_ps(
+                    _mm256_cvtps_ph(s, _MM_FROUND_TO_NEAREST_INT)));
+            }
+            for (; j < n; j++)
+                ci[j] = _cvtsh_ss(_cvtss_sh(ci[j] + av * bp[j],
+                                            _MM_FROUND_TO_NEAREST_INT));
+        }
+    }
+}
+
+/* The last n % 8 elements go through the same eight-wide code, padded. */
+AVX2 void f32_to_f16_avx2(const float *x, uint16_t *h, long n)
+{
+    long i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm_storeu_si128((__m128i *)(h + i), store8(_mm256_loadu_ps(x + i)));
+    if (i < n) {
+        float in[8] = {0};
+        uint16_t out[8];
+        memcpy(in, x + i, (n - i) * sizeof *in);
+        _mm_storeu_si128((__m128i *)out, store8(_mm256_loadu_ps(in)));
+        memcpy(h + i, out, (n - i) * sizeof *out);
+    }
+}
+
+AVX2 void f16_to_f32_avx2(const uint16_t *h, float *x, long n)
+{
+    long i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(x + i, widen8(_mm_loadu_si128((const __m128i *)(h + i))));
+    if (i < n) {
+        uint16_t in[8] = {0};
+        float out[8];
+        memcpy(in, h + i, (n - i) * sizeof *in);
+        _mm256_storeu_ps(out, widen8(_mm_loadu_si128((const __m128i *)in)));
+        memcpy(x + i, out, (n - i) * sizeof *out);
+    }
+}
+
+AVX2 void fold_rows_avx2(const float *x, float *out, long rows, long cols)
+{
+    fold(x, out, rows, cols);
+}
+#else
+int vector_path(void)
+{
+    return 0;
+}
+#endif

@@ -1,0 +1,97 @@
+"""The compiled loops behind binary16 and tensor, and their one loader.
+
+`_native.c` holds every hot loop: the ordered matmul (`mm`), the
+binary16 store and widen (`f32_to_f16`, `f16_to_f32`) and the row fold
+of `seq_sum` (`fold_rows`), each as an AVX2/F16C variant and a portable
+one.  `lib()` compiles the file once per source, flags and machine into
+a per-user cache on first use (not at import), loads it and binds one
+variant of every loop, picked once by the CPU.  Where the library
+cannot be built or loaded it warns once and returns None, and every
+caller runs its numpy loop, which gives the same bits.
+
+Callers pass each array as its address (`arr.ctypes.data`) and must
+hand over C-contiguous arrays of the loop's dtypes.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import pathlib
+import platform
+import subprocess
+import tempfile
+import types
+import warnings
+
+_SOURCE = pathlib.Path(__file__).with_name("_native.c")
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+_P, _N = ctypes.c_void_p, ctypes.c_long
+_LOOPS = {
+    "mm": (_P, _P, _P, _N, _N, _N, ctypes.c_int),   # a, b, c, m, k, n, acc16
+    "f32_to_f16": (_P, _P, _N),                     # x, h, n
+    "f16_to_f32": (_P, _P, _N),                     # h, x, n
+    "fold_rows": (_P, _P, _N, _N),                  # x, out, rows, cols
+}
+
+
+def _build() -> pathlib.Path:
+    """Compile `_native.c` once per source, flags and machine into a
+    per-user cache, and return the shared library's path."""
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(
+        (*_FLAGS, platform.machine())).encode()).hexdigest()[:16]
+    cache = pathlib.Path.home() / ".cache" / "mptrain"
+    lib = cache / f"native-{key}.so"
+    if lib.exists():
+        return lib
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        subprocess.run(["cc", *_FLAGS, "-o", tmp, str(_SOURCE)],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+def _bind(path, vector: bool | None = None) -> types.SimpleNamespace:
+    """The loops of the library at `path`, one attribute each: the AVX2
+    variant if `vector`, the portable one if not, and with None
+    whichever this CPU runs."""
+    dll = ctypes.CDLL(str(path))
+    if vector is None:
+        vector = bool(dll.vector_path())
+    suffix = "_avx2" if vector else "_portable"
+    loops = {}
+    for name, argtypes in _LOOPS.items():
+        fn = getattr(dll, name + suffix)
+        fn.argtypes, fn.restype = argtypes, None
+        loops[name] = fn
+    return types.SimpleNamespace(**loops)
+
+
+_UNLOADED = object()
+_loaded = _UNLOADED
+
+
+def lib() -> types.SimpleNamespace | None:
+    """The compiled loops, built and bound on the first call; None, after
+    one warning, when they cannot be built or loaded."""
+    global _loaded
+    if _loaded is _UNLOADED:
+        try:
+            _loaded = _bind(_build())
+        except (OSError, subprocess.SubprocessError) as e:
+            warnings.warn(
+                f"mptrain: compiled loops unavailable ({e}); matmul, the "
+                f"binary16 store and widen and the seq_sum fold each run "
+                f"their numpy loop, which gives the same bits more slowly",
+                RuntimeWarning, stacklevel=3)
+            _loaded = None
+    return _loaded

@@ -16,23 +16,15 @@ accumulation to a BLAS.
 
 from __future__ import annotations
 
-import ctypes
 import enum
-import functools
-import hashlib
 import math
-import os
-import pathlib
-import platform
 import struct
-import subprocess
-import tempfile
-import warnings
 from typing import Sequence
 
 import numpy as np
 
 from . import binary16 as b16
+from ._native import lib as _kernel
 
 
 class DType(enum.Enum):
@@ -129,9 +121,9 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32) -> np.ndarra
     still exact: 11-bit significands) rounds the accumulator to the
     binary16 grid after every add, modeling hardware whose accumulator
     is f16, so its result is already on that grid.  Every NaN of the
-    result is the canonical one.  The loop runs in the compiled kernel
-    `_matmul.c`, or, where it cannot be built, in `_matmul_loop` with
-    the same bits.
+    result is the canonical one.  The loop runs as `mm` in `_native.c`,
+    or, where that cannot be built, in `_matmul_loop` with the same
+    bits.
     """
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ValueError("matmul expects 2-d tensors")
@@ -144,17 +136,19 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32) -> np.ndarra
     if mode is AccumMode.ACC16 and a.dtype is not DType.F16:
         raise ValueError("ACC16 accumulation is defined for F16 operands only")
 
-    kernel = _kernel()
-    if kernel is None:
+    lib = _kernel()
+    if lib is None:
         return _matmul_loop(a, b, mode)
+    aw, bw = a.widen(), b.widen()
     acc = np.empty((m, n), dtype=np.float32)
-    kernel(a.widen(), b.widen(), acc, m, k, n, int(mode is AccumMode.ACC16))
+    lib.mm(aw.ctypes.data, bw.ctypes.data, acc.ctypes.data, m, k, n,
+           int(mode is AccumMode.ACC16))
     return b16.canonicalize_f32_nans(acc)
 
 
 def _matmul_loop(a: Tensor, b: Tensor, mode: AccumMode) -> np.ndarray:
     """`matmul` on checked operands as a numpy loop over k: the fallback
-    where the kernel cannot be built, and the tests' reference for it."""
+    where `mm` cannot be built, and the tests' reference for it."""
     (m, k), n = a.shape, b.shape[1]
     aw = a.widen()
     bw = b.widen()
@@ -170,52 +164,6 @@ def _matmul_loop(a: Tensor, b: Tensor, mode: AccumMode) -> np.ndarray:
     return b16.canonicalize_f32_nans(acc)
 
 
-_KERNEL_SOURCE = pathlib.Path(__file__).with_name("_matmul.c")
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-def _build_kernel() -> pathlib.Path:
-    """Compile `_matmul.c` once per source, flags and machine into a
-    per-user cache, and return the shared library's path."""
-    source = _KERNEL_SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join(
-        (*_KERNEL_FLAGS, platform.machine())).encode()).hexdigest()[:16]
-    cache = pathlib.Path.home() / ".cache" / "mptrain"
-    lib = cache / f"matmul-{key}.so"
-    if lib.exists():
-        return lib
-    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-    os.close(fd)
-    try:
-        subprocess.run(["cc", *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
-                       check=True, capture_output=True, timeout=120)
-        os.replace(tmp, lib)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return lib
-
-
-@functools.cache
-def _kernel():
-    """The compiled `mm`, built on the first matmul rather than at
-    import; None, after one warning, when it cannot be built or loaded."""
-    try:
-        fn = ctypes.CDLL(str(_build_kernel())).mm
-    except (OSError, subprocess.SubprocessError) as e:
-        warnings.warn(f"mptrain: compiled matmul unavailable ({e}); using the "
-                      f"numpy loop, which gives the same bits more slowly",
-                      RuntimeWarning, stacklevel=3)
-        return None
-    f32 = np.ctypeslib.ndpointer(np.float32, ndim=2, flags="C_CONTIGUOUS")
-    out = np.ctypeslib.ndpointer(np.float32, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
-    fn.argtypes = [f32, f32, out, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                   ctypes.c_int]
-    fn.restype = None
-    return fn
-
-
 def seq_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:
     """Fixed-order f32 summation of an f32 array.
 
@@ -225,12 +173,11 @@ def seq_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:
     the canonical one.
     """
     arr = np.asarray(values, dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if axis is None:
-            while arr.ndim > 0:
-                arr = _fold_axis(arr, 0)
-        else:
-            arr = _fold_axis(arr, axis)
+    if axis is None:
+        while arr.ndim > 0:
+            arr = _fold_axis(arr, 0)
+    else:
+        arr = _fold_axis(arr, axis)
     # Which NaN an add yields depends on operand order, which numpy's
     # SIMD loops do not fix; one canonical NaN keeps the bits fixed.
     return b16.canonicalize_f32_nans(arr)
@@ -239,11 +186,26 @@ def seq_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:
 def _fold_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     if not -arr.ndim <= axis < arr.ndim:
         raise ValueError(f"axis {axis} out of range for {arr.ndim}-d input")
+    lib = _kernel()
+    if lib is None:
+        return _fold_axis_numpy(arr, axis)
+    # fold_rows adds row r to the sum of rows 0..r-1, from +0, one
+    # vector across the columns per row
+    rows = np.ascontiguousarray(np.moveaxis(arr, axis, 0) if axis % arr.ndim else arr)
+    out = np.empty(rows.shape[1:], dtype=np.float32)
+    lib.fold_rows(rows.ctypes.data, out.ctypes.data, rows.shape[0], out.size)
+    return out
+
+
+def _fold_axis_numpy(arr: np.ndarray, axis: int) -> np.ndarray:
+    """`_fold_axis` where `fold_rows` cannot be built, and the tests'
+    reference for it."""
     # accumulate adds index i to the sum of 0..i-1 in index order, so its
     # last slice is the fold.  It starts from index 0, not from +0, which
     # differs only where every term is -0: the +0 restores a +0 sum.
-    last = np.moveaxis(np.add.accumulate(arr, axis=axis), axis, 0)[-1, ...]
-    return np.add(last, np.float32(0), out=last)
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = np.moveaxis(np.add.accumulate(arr, axis=axis), axis, 0)[-1, ...]
+        return np.add(last, np.float32(0), out=last)
 
 
 def transpose(t: Tensor, axes: Sequence[int] | None = None) -> Tensor:

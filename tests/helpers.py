@@ -7,10 +7,13 @@ package reaches them.
 
 from __future__ import annotations
 
-import functools
+import ctypes
+import subprocess
 
 import numpy as np
+import pytest
 
+from mptrain import _native
 from mptrain import binary16 as b16
 from mptrain import nn
 from mptrain import tensor as T
@@ -64,12 +67,28 @@ def bind_f32(model: nn.Model, values: dict[str, np.ndarray]) -> None:
         model.params[key] = T.store(arr, DType.F32)
 
 
-def reload_kernel(monkeypatch, lib=None) -> None:
-    """Make the next matmul load its kernel afresh from the library
-    `lib`, or, with lib None, find it unbuildable and use the numpy loop."""
-    def build():
-        if lib is None:
-            raise FileNotFoundError("cc")
-        return lib
-    monkeypatch.setattr(T, "_build_kernel", build)
-    monkeypatch.setattr(T, "_kernel", functools.cache(T._kernel.__wrapped__))
+def reload_kernel(monkeypatch) -> None:
+    """Make the compiled loops unbuildable for the rest of the test: the
+    next matmul, binary16 conversion or seq_sum warns once, and each of
+    them runs its numpy loop."""
+    def unbuildable():
+        raise FileNotFoundError("cc")
+    monkeypatch.setattr(_native, "_build", unbuildable)
+    monkeypatch.setattr(_native, "_loaded", _native._UNLOADED)
+
+
+def bind_loops(monkeypatch, variant: str) -> None:
+    """Run every compiled loop as `variant` for the rest of the test:
+    "avx2" or "portable" binds that variant of the library, "numpy"
+    runs each caller's numpy loop (with no warning).  Skips the test
+    where the variant cannot run on this host."""
+    if variant == "numpy":
+        monkeypatch.setattr(_native, "_loaded", None)
+        return
+    try:
+        path = _native._build()
+    except (OSError, subprocess.SubprocessError):
+        pytest.skip("the compiled loops cannot be built here")
+    if variant == "avx2" and not ctypes.CDLL(str(path)).vector_path():
+        pytest.skip("this CPU has no AVX2 and F16C")
+    monkeypatch.setattr(_native, "_loaded", _native._bind(path, variant == "avx2"))

@@ -19,15 +19,15 @@ import ast
 import inspect
 import pathlib
 
-from mptrain import binary16, diagnostics, io_cli, mp_engine, nn, tensor
+from mptrain import _native, binary16, diagnostics, io_cli, mp_engine, nn, tensor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = (binary16, tensor, nn, mp_engine, diagnostics, io_cli)
+MODULES = (_native, binary16, tensor, nn, mp_engine, diagnostics, io_cli)
 NUMPY = ("np", "numpy")
 # bottom to top; mp_engine and diagnostics share a level, so neither
 # may import the other
-LEVEL = {"binary16": 0, "tensor": 1, "nn": 2, "mp_engine": 3, "diagnostics": 3,
-         "io_cli": 4}
+LEVEL = {"_native": 0, "binary16": 1, "tensor": 2, "nn": 3, "mp_engine": 4,
+         "diagnostics": 4, "io_cli": 5}
 
 
 def _referenced_names() -> set[str]:

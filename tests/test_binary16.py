@@ -1,7 +1,9 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -243,3 +245,44 @@ def test_exponent_of_array_matches_scalar():
     es = b16.exponent_of_array(b16.to_f32_array(finite))
     for h, e in zip(finite.tolist(), es.tolist()):
         assert math.frexp(oracles.half_value(h))[1] - 1 == e, hex(h)
+
+
+@functools.cache
+def _widened_patterns() -> bytes:
+    """The f32 bits of every pattern from the exact oracle, NaNs canonical."""
+    ref = np.array([oracles.half_value(h) for h in range(0x10000)], dtype=np.float32)
+    ref.view(np.uint32)[_nan_patterns(all_patterns())] = 0x7FC00000
+    return ref.tobytes()
+
+
+def _store_sweep(rng) -> np.ndarray:
+    """f32 inputs for the store: every exponent field under both signs
+    with random mantissas; every midpoint between adjacent binary16
+    magnitudes (65520 past 65504 included) with its f32 neighbours; the
+    range edges, signed zeros, infinities and NaNs of every kind."""
+    exps = np.repeat(np.arange(256, dtype=np.uint32), 512)
+    random = ((rng.integers(0, 2, exps.size, dtype=np.uint32) << 31) | (exps << 23)
+              | rng.integers(0, 1 << 23, exps.size, dtype=np.uint32))
+    grid = [oracles.half_value(h) for h in range(0x7C00)] + [65536.0]
+    mids = ((np.array(grid[:-1]) + np.array(grid[1:])) / 2).astype(np.float32)
+    near = [mids, np.nextafter(mids, np.float32(0)), np.nextafter(mids, np.float32(np.inf))]
+    edges = np.array([65504, 65520, 2.0**-24, 2.0**-25, 0], dtype=np.float32)
+    nans = np.array([0x7FC00000, 0x7FC12345, 0x7F800001, 0x7FA00000, 0x7FFFFFFF,
+                     0xFFC00000, 0xFF800001, 0xFFFFFFFF, 0x7F800000], dtype=np.uint32)
+    values = np.concatenate([*near, edges])
+    return np.concatenate([random, nans, values.view(np.uint32),
+                           (-values).view(np.uint32)]).view(np.float32)
+
+
+@pytest.mark.parametrize("variant", ["avx2", "portable", "numpy"])
+def test_conversions_match_exact_oracles(variant, monkeypatch):
+    # the store on every f32 exponent and rounding boundary, the widen on
+    # every pattern, each path against tests/oracles.py
+    x = _store_sweep(np.random.default_rng(25))
+    want = oracles.half_from_f32_array(x)
+    helpers.bind_loops(monkeypatch, variant)
+    got = b16.from_f32_array(x)
+    bad = np.flatnonzero(got != want)
+    assert bad.size == 0, [(hex(int(x.view(np.uint32)[i])), hex(int(got[i])))
+                           for i in bad[:5]]
+    assert b16.to_f32_array(all_patterns()).tobytes() == _widened_patterns()

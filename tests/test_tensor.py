@@ -1,5 +1,4 @@
 import io
-import platform
 import shutil
 import subprocess
 import warnings
@@ -8,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mptrain import _native
 from mptrain import binary16 as b16
 from mptrain import tensor as T
 
@@ -257,55 +257,114 @@ def test_matmul_kernel_matches_numpy_loop_bit_for_bit():
 
 
 def test_matmul_without_kernel_warns_once_and_keeps_the_bits(monkeypatch):
-    helpers.reload_kernel(monkeypatch)
     rng = np.random.default_rng(12)
     a = T.store(rng.normal(0, 2, (5, 40)).astype(np.float32), T.DType.F16)
     b = T.store(rng.normal(0, 2, (40, 3)).astype(np.float32), T.DType.F16)
+    helpers.reload_kernel(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = [T.matmul(a, b, mode)
                for mode in (T.AccumMode.ACC16, T.AccumMode.ACC32)]
     assert [str(w.message).count("numpy loop") for w in caught] == [1]
+    for loop in ("matmul", "binary16 store and widen", "seq_sum fold"):
+        assert loop in str(caught[0].message)
     assert T._kernel() is None
     monkeypatch.undo()
     for out, mode in zip(got, (T.AccumMode.ACC16, T.AccumMode.ACC32)):
         assert helpers.bits_equal(out, T.matmul(a, b, mode))
 
 
+VARIANTS = ("avx2", "portable")
+
+
+def _as(monkeypatch, variant, fn):
+    """fn() with every compiled loop run as `variant` ("numpy": every
+    caller runs its numpy loop)."""
+    helpers.bind_loops(monkeypatch, variant)
+    return fn()
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_matmul_kernel_compiles_without_warnings(tmp_path):
-    proc = subprocess.run(["cc", *T._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "mm.so"), str(T._KERNEL_SOURCE)],
+    proc = subprocess.run(["cc", *_native._FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "native.so"), str(_native._SOURCE)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.skipif(shutil.which("cc") is None or platform.machine() != "x86_64",
-                    reason="needs a C compiler on x86-64")
-def test_matmul_kernel_default_clone_matches_numpy_loop(tmp_path, monkeypatch):
-    # The dispatcher picks the x86-64-v3 clone wherever the CPU has it, so
-    # the baseline clone is built here alone: the source less its
-    # target_clones line, with the package's flags.
-    source = T._KERNEL_SOURCE.read_text()
-    baseline = "".join(line for line in source.splitlines(keepends=True)
-                       if "target_clones" not in line)
-    assert baseline != source
-    (tmp_path / "mm.c").write_text(baseline)
-    subprocess.run(["cc", *T._KERNEL_FLAGS, "-o", str(tmp_path / "mm.so"),
-                    str(tmp_path / "mm.c")], check=True, capture_output=True)
-    helpers.reload_kernel(monkeypatch, tmp_path / "mm.so")
+def test_matmul_kernel_default_clone_matches_numpy_loop(monkeypatch):
+    # The portable variant of every compiled loop, which a CPU with AVX2
+    # and F16C never picks, against the numpy loops: mm, both binary16
+    # conversions and the row fold.
     rng = np.random.default_rng(1711)
+    cases = []
     for case in range(400):
         mode = (T.AccumMode.ACC32, T.AccumMode.ACC16)[case % 2]
         k = int(rng.choice([1, 2, 3, 7, 64, 300], p=[.1, .1, .1, .25, .3, .15]))
         m, n = (int(rng.choice([1, rng.integers(2, 12)])) for _ in range(2))
         rate = float(rng.choice([0.0, 0.5 / k, 0.05]))
-        a = _adversarial(rng, (m, k), T.DType.F16, rate)
-        b = _adversarial(rng, (k, n), T.DType.F16, rate)
-        got = T.matmul(a, b, mode)
-        assert helpers.bits_equal(got, T._matmul_loop(a, b, mode)), \
-            (case, mode, (m, k, n))
+        cases.append((_adversarial(rng, (m, k), T.DType.F16, rate),
+                      _adversarial(rng, (k, n), T.DType.F16, rate), mode))
+    f32 = _adversarial(rng, (4099,), T.DType.F32, 0.2).data
+    f16 = np.concatenate([np.arange(0x10000, dtype=np.uint16),
+                          _adversarial(rng, (1001,), T.DType.F16, 0.2).data])
+    folds = [_adversarial(rng, shape, T.DType.F32, 0.05).data
+             for shape in [(300, 5), (1, 9), (7, 3, 2)]]
+
+    def run():
+        return ([T.matmul(a, b, mode) for a, b, mode in cases],
+                [b16.from_f32_array(f32), b16.to_f32_array(f16)],
+                [T.seq_sum(x, axis) for x in folds for axis in (None, 0, -1)])
+
+    want = _as(monkeypatch, "numpy", run)
+    got = _as(monkeypatch, "portable", run)
     assert T._kernel() is not None
+    for w, g in zip(want, got):
+        assert [x.tobytes() for x in w] == [x.tobytes() for x in g]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_matmul_vector_tails_match_numpy_loop(variant, monkeypatch):
+    # n = 1..17 puts every column count below, at and past one and two
+    # eight-wide vectors; k = 300 products at scales whose ACC16 sums
+    # land in the f16 subnormals and beyond 65504.
+    rng = np.random.default_rng(1712)
+    cases = []
+    for n in range(1, 18):
+        for scale, mode in [(2.0**-13, T.AccumMode.ACC16), (2.0**5, T.AccumMode.ACC16),
+                            (2.0**5, T.AccumMode.ACC32)]:
+            a, b = (T.store(rng.normal(0, scale, shape).astype(np.float32), T.DType.F16)
+                    for shape in [(3, 300), (300, n)])
+            cases.append((a, b, mode))
+
+    def run():
+        return [T.matmul(a, b, mode) for a, b, mode in cases]
+
+    want = _as(monkeypatch, "numpy", run)
+    got = _as(monkeypatch, variant, run)
+    assert [w.tobytes() for w in want] == [g.tobytes() for g in got]
+    small = np.concatenate([w.ravel() for w in want[::3]])
+    assert ((small != 0) & (abs(small) < 2.0**-14)).any()
+    assert np.isinf(np.concatenate([w.ravel() for w in want[1::3]])).any()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_seq_sum_fold_matches_numpy_fold(variant, monkeypatch):
+    rng = np.random.default_rng(1713)
+    arrays = []
+    for shape in [(784, 256), (1000, 3), (128, 4), (2, 300), (1, 7), (5,), (9, 4, 3)]:
+        values = rng.normal(0, 2.0 ** rng.integers(-130, 120), shape).astype(np.float32)
+        bits = values.view(np.uint32)
+        mask = rng.random(shape) < 0.02
+        bits[mask] = rng.choice(np.array(_SUM_SPECIAL, np.uint32), int(mask.sum()))
+        arrays.append(values)
+    arrays.append(np.full((40, 6), -0.0, np.float32))
+
+    def run():
+        return [T.seq_sum(x, axis).tobytes() for x in arrays
+                for axis in (None, *range(-x.ndim, x.ndim))]
+
+    assert _as(monkeypatch, variant, run) == _as(monkeypatch, "numpy", run)
 
 
 def test_seq_sum_store_f32_accumulation():
