@@ -14,88 +14,23 @@
                order, vectorized across j (tensor.seq_sum).  NaNs are
                left for the caller to make canonical.
 
-   Each loop comes twice.  The _avx2 variant needs AVX2 and F16C: it
+   Each loop is defined once, for x86-64 CPUs with AVX2 and F16C: it
    rounds eight acc16 columns and converts eight values at a time with
    vcvtps2ph (immediate round-to-nearest-even, so MXCSR plays no part)
-   and vcvtph2ps.  The _portable variant is plain C; it converts through
-   _Float16 one element at a time, with F16C scalar instructions or
-   libgcc calls as the target allows.  vector_path() says whether this
-   CPU runs the _avx2 variant; the loader asks once.  Both variants give
-   the same bits, and so do the numpy loops the callers fall back to.
+   and vcvtph2ps.  vector_path() says whether this CPU runs them; the
+   loader asks once.  Where it says 0 (on any other architecture the
+   file holds only vector_path), the loader binds nothing and every
+   caller runs its numpy loop, which gives the same bits.
 
    Build with -ffp-contract=off, so that no product is fused into its
-   add.  The _avx2 variant is not built with FMA either. */
-#include <stdint.h>
-#include <string.h>
+   add.  The loops are not built with FMA either. */
 #ifdef __x86_64__
 #include <immintrin.h>
-#endif
+#include <stdint.h>
+#include <string.h>
 
 #define F16_NAN 0x7E00
 #define F32_NAN 0x7FC00000u
-
-static inline __attribute__((always_inline)) void
-acc32_row(float *ci, const float *bp, float av, long n)
-{
-    for (long j = 0; j < n; j++)
-        ci[j] += av * bp[j];
-}
-
-static inline __attribute__((always_inline)) void
-fold(const float *x, float *out, long rows, long cols)
-{
-    for (long j = 0; j < cols; j++)
-        out[j] = 0.0f;
-    for (long r = 0; r < rows; r++)
-        for (long j = 0; j < cols; j++)
-            out[j] += x[r * cols + j];
-}
-
-void mm_portable(const float *a, const float *b, float *c,
-                 long m, long k, long n, int acc16)
-{
-    for (long i = 0; i < m; i++) {
-        float *ci = c + i * n;
-        memset(ci, 0, n * sizeof *ci);
-        for (long p = 0; p < k; p++) {
-            const float av = a[i * k + p], *bp = b + p * n;
-            if (acc16)
-                for (long j = 0; j < n; j++)
-                    ci[j] = (float)(_Float16)(ci[j] + av * bp[j]);
-            else
-                acc32_row(ci, bp, av, n);
-        }
-    }
-}
-
-void f32_to_f16_portable(const float *x, uint16_t *h, long n)
-{
-    for (long i = 0; i < n; i++) {
-        _Float16 v = (_Float16)x[i];
-        memcpy(h + i, &v, sizeof v);
-        if (x[i] != x[i])
-            h[i] = F16_NAN;
-    }
-}
-
-void f16_to_f32_portable(const uint16_t *h, float *x, long n)
-{
-    const uint32_t nan = F32_NAN;
-    for (long i = 0; i < n; i++) {
-        _Float16 v;
-        memcpy(&v, h + i, sizeof v);
-        x[i] = (float)v;
-        if ((h[i] & 0x7FFF) > 0x7C00)
-            memcpy(x + i, &nan, sizeof nan);
-    }
-}
-
-void fold_rows_portable(const float *x, float *out, long rows, long cols)
-{
-    fold(x, out, rows, cols);
-}
-
-#ifdef __x86_64__
 #define AVX2 __attribute__((target("avx2,f16c")))
 
 int vector_path(void)
@@ -119,8 +54,8 @@ static inline AVX2 __attribute__((always_inline)) __m256 widen8(__m128i h)
     return _mm256_blendv_ps(x, nan, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
 }
 
-AVX2 void mm_avx2(const float *a, const float *b, float *c,
-                  long m, long k, long n, int acc16)
+AVX2 void mm(const float *a, const float *b, float *c,
+             long m, long k, long n, int acc16)
 {
     for (long i = 0; i < m; i++) {
         float *ci = c + i * n;
@@ -128,7 +63,8 @@ AVX2 void mm_avx2(const float *a, const float *b, float *c,
         for (long p = 0; p < k; p++) {
             const float av = a[i * k + p], *bp = b + p * n;
             if (!acc16) {
-                acc32_row(ci, bp, av, n);
+                for (long j = 0; j < n; j++)
+                    ci[j] += av * bp[j];
                 continue;
             }
             const __m256 av8 = _mm256_set1_ps(av);
@@ -147,7 +83,7 @@ AVX2 void mm_avx2(const float *a, const float *b, float *c,
 }
 
 /* The last n % 8 elements go through the same eight-wide code, padded. */
-AVX2 void f32_to_f16_avx2(const float *x, uint16_t *h, long n)
+AVX2 void f32_to_f16(const float *x, uint16_t *h, long n)
 {
     long i = 0;
     for (; i + 8 <= n; i += 8)
@@ -161,7 +97,7 @@ AVX2 void f32_to_f16_avx2(const float *x, uint16_t *h, long n)
     }
 }
 
-AVX2 void f16_to_f32_avx2(const uint16_t *h, float *x, long n)
+AVX2 void f16_to_f32(const uint16_t *h, float *x, long n)
 {
     long i = 0;
     for (; i + 8 <= n; i += 8)
@@ -175,9 +111,13 @@ AVX2 void f16_to_f32_avx2(const uint16_t *h, float *x, long n)
     }
 }
 
-AVX2 void fold_rows_avx2(const float *x, float *out, long rows, long cols)
+AVX2 void fold_rows(const float *x, float *out, long rows, long cols)
 {
-    fold(x, out, rows, cols);
+    for (long j = 0; j < cols; j++)
+        out[j] = 0.0f;
+    for (long r = 0; r < rows; r++)
+        for (long j = 0; j < cols; j++)
+            out[j] += x[r * cols + j];
 }
 #else
 int vector_path(void)

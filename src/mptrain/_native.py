@@ -2,12 +2,12 @@
 
 `_native.c` holds every hot loop: the ordered matmul (`mm`), the
 binary16 store and widen (`f32_to_f16`, `f16_to_f32`) and the row fold
-of `seq_sum` (`fold_rows`), each as an AVX2/F16C variant and a portable
-one.  `lib()` compiles the file once per source, flags and machine into
-a per-user cache on first use (not at import), loads it and binds one
-variant of every loop, picked once by the CPU.  Where the library
-cannot be built or loaded it warns once and returns None, and every
-caller runs its numpy loop, which gives the same bits.
+of `seq_sum` (`fold_rows`), each defined once for x86-64 CPUs with AVX2
+and F16C.  `lib()` compiles the file once per source, flags and machine
+into a per-user cache on first use (not at import), loads it and binds
+every loop.  Where the library cannot be built or loaded, or the CPU
+lacks AVX2 or F16C, it warns once and returns None, and every caller
+runs its numpy loop, which gives the same bits.
 
 Callers pass each array as its address (`arr.ctypes.data`) and must
 hand over C-contiguous arrays of the loop's dtypes.
@@ -15,6 +15,7 @@ hand over C-contiguous arrays of the loop's dtypes.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -22,6 +23,7 @@ import pathlib
 import platform
 import subprocess
 import tempfile
+import time
 import types
 import warnings
 
@@ -35,11 +37,20 @@ _LOOPS = {
     "f16_to_f32": (_P, _P, _N),                     # h, x, n
     "fold_rows": (_P, _P, _N, _N),                  # x, out, rows, cols
 }
+# libraries that earlier sources of this package built into the cache,
+# removed once they are this many seconds old: an older checkout running
+# now may have just written one and not loaded it yet
+_STALE = ("matmul-*.so", "core-*.so")
+_STALE_AFTER_S = 600
 
 
 def _build() -> pathlib.Path:
     """Compile `_native.c` once per source, flags and machine into a
-    per-user cache, and return the shared library's path."""
+    per-user cache, and return the shared library's path.  A new build
+    also removes the libraries of earlier sources named in `_STALE` that
+    are older than `_STALE_AFTER_S`; it leaves every `native-*.so`, which
+    another checkout may be loading, and every `tmp*.so`, which another
+    process may be writing."""
     source = _SOURCE.read_bytes()
     key = hashlib.sha256(source + " ".join(
         (*_FLAGS, platform.machine())).encode()).hexdigest()[:16]
@@ -57,20 +68,23 @@ def _build() -> pathlib.Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for pattern in _STALE:
+        for stale in cache.glob(pattern):
+            with contextlib.suppress(OSError):
+                if time.time() - stale.stat().st_mtime > _STALE_AFTER_S:
+                    stale.unlink()
     return lib
 
 
-def _bind(path, vector: bool | None = None) -> types.SimpleNamespace:
-    """The loops of the library at `path`, one attribute each: the AVX2
-    variant if `vector`, the portable one if not, and with None
-    whichever this CPU runs."""
+def _bind(path) -> types.SimpleNamespace:
+    """The loops of the library at `path`, one attribute each.  Raises
+    OSError when this CPU cannot run them."""
     dll = ctypes.CDLL(str(path))
-    if vector is None:
-        vector = bool(dll.vector_path())
-    suffix = "_avx2" if vector else "_portable"
+    if not dll.vector_path():
+        raise OSError("this CPU has no AVX2 and F16C")
     loops = {}
     for name, argtypes in _LOOPS.items():
-        fn = getattr(dll, name + suffix)
+        fn = getattr(dll, name)
         fn.argtypes, fn.restype = argtypes, None
         loops[name] = fn
     return types.SimpleNamespace(**loops)

@@ -198,7 +198,13 @@ class RunConfig:
         if layers:
             try:
                 specs = [s.strip() for s in layers.split(";") if s.strip()]
-                nn.model_from_specs(specs)  # validate early
+                shapes = nn.model_from_specs(specs).param_shapes()  # validate early
+                for name, shape in shapes.items():
+                    # initialisation draws one 8-byte word per element (and
+                    # one more for an odd count) in a single array
+                    if 8 * (math.prod(shape) + 1) > np.iinfo(np.intp).max:
+                        raise ValueError(f"parameter {name} {shape} needs more "
+                                         f"bytes than numpy can allocate")
             except ValueError as e:
                 raise ConfigError(f"field model.layers: {e}") from e
         return RunConfig(**run, model_specs=specs, policy=_build_policy(cfg),
@@ -510,7 +516,11 @@ def run(config: RunConfig) -> RunResult:
     bundle = build_task(config)
     specs = config.model_specs or bundle.default_specs
     model = nn.model_from_specs(specs)
-    params = eng.make_parameters(model, config.seed)
+    try:
+        params = eng.make_parameters(model, config.seed)
+    except MemoryError as e:
+        raise ConfigError(f"field model.layers: the parameters do not fit in "
+                          f"memory ({e})") from None
     for name, arr in bundle.init_overrides.items():
         if model.param_shapes().get(name) != arr.shape:
             raise ConfigError(f"init override {name} {arr.shape} does not fit model."
@@ -881,6 +891,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as e:  # an output path that cannot be written
         print(f"config error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"config error: out of memory ({e})", file=sys.stderr)
         return 1
 
 

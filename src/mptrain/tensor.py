@@ -140,10 +140,30 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32) -> np.ndarra
     if lib is None:
         return _matmul_loop(a, b, mode)
     aw, bw = a.widen(), b.widen()
-    acc = np.empty((m, n), dtype=np.float32)
-    lib.mm(aw.ctypes.data, bw.ctypes.data, acc.ctypes.data, m, k, n,
-           int(mode is AccumMode.ACC16))
+    pb = bw.ctypes.data
+    if pb % 32:
+        bw, pb = _aligned_f32((k, n), bw)
+    acc, pc = _aligned_f32((m, n))
+    lib.mm(aw.ctypes.data, pb, pc, m, k, n, int(mode is AccumMode.ACC16))
     return b16.canonicalize_f32_nans(acc)
+
+
+def _aligned_f32(shape, values: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """An f32 array of `shape` whose data starts on a 32-byte boundary,
+    holding `values` if given, and that address.
+
+    mm reads rows of b and c eight floats at a time.  Off a 32-byte
+    boundary every other load splits across two cache lines, which made a
+    128x784x256 product ~40% slower on an AVX2 Xeon, and where numpy's
+    allocator puts an array is down to the heap."""
+    size = math.prod(shape)
+    buf = np.empty(size + 7, dtype=np.float32)
+    addr = buf.ctypes.data
+    start = -addr % 32 // 4
+    out = buf[start:start + size].reshape(shape)
+    if values is not None:
+        out[...] = values
+    return out, addr + 4 * start
 
 
 def _matmul_loop(a: Tensor, b: Tensor, mode: AccumMode) -> np.ndarray:

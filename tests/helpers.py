@@ -79,16 +79,36 @@ def reload_kernel(monkeypatch) -> None:
 
 def bind_loops(monkeypatch, variant: str) -> None:
     """Run every compiled loop as `variant` for the rest of the test:
-    "avx2" or "portable" binds that variant of the library, "numpy"
-    runs each caller's numpy loop (with no warning).  Skips the test
-    where the variant cannot run on this host."""
+    "avx2" binds the compiled library, "numpy" runs each caller's numpy
+    loop (with no warning).  Skips the test where the library cannot be
+    built or this CPU cannot run it."""
+    assert variant in ("avx2", "numpy"), variant
     if variant == "numpy":
         monkeypatch.setattr(_native, "_loaded", None)
         return
     try:
-        path = _native._build()
-    except (OSError, subprocess.SubprocessError):
-        pytest.skip("the compiled loops cannot be built here")
-    if variant == "avx2" and not ctypes.CDLL(str(path)).vector_path():
-        pytest.skip("this CPU has no AVX2 and F16C")
-    monkeypatch.setattr(_native, "_loaded", _native._bind(path, variant == "avx2"))
+        loops = _native._bind(_native._build())
+    except (OSError, subprocess.SubprocessError) as e:
+        pytest.skip(f"the compiled loops cannot run here ({e})")
+    monkeypatch.setattr(_native, "_loaded", loops)
+
+
+def cpu_without_avx2(monkeypatch) -> None:
+    """Make the library's vector_path() read 0 for the rest of the test,
+    as on a CPU without AVX2 or F16C, while it still builds and loads:
+    the next matmul, binary16 conversion or seq_sum warns once, and each
+    of them runs its numpy loop."""
+    load = ctypes.CDLL
+
+    class Library:
+        def __init__(self, path):
+            self._dll = load(path)
+
+        def vector_path(self):
+            return 0
+
+        def __getattr__(self, name):
+            return getattr(self._dll, name)
+
+    monkeypatch.setattr(_native.ctypes, "CDLL", Library)
+    monkeypatch.setattr(_native, "_loaded", _native._UNLOADED)

@@ -8,7 +8,7 @@ its config with `workloads.build_config` at the default seed, runs
 and model.ckpt), with perfbench/digests.json.  It reads the perfbench
 files and writes none of them.  Two workloads run again with the matmul
 kernel unbuildable, so that the numpy loop it falls back to must write
-the same bytes.
+the same bytes, and one runs on a CPU that reads as having no AVX2.
 
 Like the benchmark's own digest check, this assumes the rounding of
 numpy's `exp`, `tanh` and `log` on the host that recorded the digests
@@ -17,7 +17,9 @@ numpy's `exp`, `tanh` and `log` on the host that recorded the digests
 
 import json
 import pathlib
+import shutil
 import sys
+import warnings
 
 import pytest
 
@@ -58,4 +60,16 @@ def test_numpy_matmul_fallback_writes_the_recorded_artifacts(name, tmp_path,
     helpers.reload_kernel(monkeypatch)  # every matmul runs T._matmul_loop
     with pytest.warns(RuntimeWarning, match="numpy loop"):
         _artifacts_match_recorded_digests(name, tmp_path)
+    assert T._kernel() is None
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_cpu_without_avx2_writes_the_recorded_artifacts(tmp_path, monkeypatch):
+    helpers.cpu_without_avx2(monkeypatch)  # the library builds, then binds nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _artifacts_match_recorded_digests("rescue_small", tmp_path)
+    messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+    assert len(messages) == 1, messages
+    assert "numpy loop" in messages[0] and "no AVX2 and F16C" in messages[0]
     assert T._kernel() is None

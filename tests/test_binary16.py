@@ -274,7 +274,7 @@ def _store_sweep(rng) -> np.ndarray:
                            (-values).view(np.uint32)]).view(np.float32)
 
 
-@pytest.mark.parametrize("variant", ["avx2", "portable", "numpy"])
+@pytest.mark.parametrize("variant", ["avx2", "numpy"])
 def test_conversions_match_exact_oracles(variant, monkeypatch):
     # the store on every f32 exponent and rounding boundary, the widen on
     # every pattern, each path against tests/oracles.py

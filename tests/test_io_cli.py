@@ -764,6 +764,16 @@ def test_cli_init_override_of_wrong_shape_exits_1(tmp_path, capsys):
      "SoftmaxCrossEntropy", "field model.layers"),
     ("model.layers", "Linear(bias=false,16,4); SoftmaxCrossEntropy", "field model.layers"),
     ("model.layers", "Linear(16,bias=false,4); SoftmaxCrossEntropy", "field model.layers"),
+    # parameters whose initial draw needs more bytes than numpy can
+    # allocate, rejected unallocated
+    ("model.layers", "Linear(16,10000000000000000000); SoftmaxCrossEntropy",
+     "field model.layers"),
+    ("model.layers", "Linear(1,4611686018427387904); SoftmaxCrossEntropy",
+     "field model.layers"),
+    ("model.layers", "Linear(1,1152921504606846975); SoftmaxCrossEntropy",
+     "field model.layers"),
+    ("model.layers", "Linear(16,100000000000000000000000); SoftmaxCrossEntropy",
+     "field model.layers"),
     ("run.seed", "-1", "run.seed"),
     ("run.seed", "18446744073709551616", "run.seed"),
     ("run.nesterov", "yes", "field run.nesterov"),
@@ -784,6 +794,24 @@ def test_cli_bad_layer_spec_or_seed_exits_1_with_one_line(field, value, says,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {says}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("module,name,says", [
+    (eng, "make_parameters", "config error: field model.layers: the parameters "
+                             "do not fit in memory"),
+    (io_cli, "run", "config error: out of memory"),
+], ids=["make_parameters", "run"])
+def test_cli_out_of_memory_exits_1_with_one_line(module, name, says, tmp_path,
+                                                 capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 11.6 TiB")
+    monkeypatch.setattr(module, name, out_of_memory)
+    cfg = Config.parse(BASE_CONFIG.format(out=tmp_path / "out"))
+    (tmp_path / "m.cfg").write_text(cfg.to_text())
+    assert io_cli.main(["train", str(tmp_path / "m.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(says) and err.count("\n") == 1
+    assert "11.6 TiB" in err
 
 
 @pytest.mark.parametrize("task,layers,named", [
