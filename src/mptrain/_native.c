@@ -11,8 +11,8 @@
    f16_to_f32  binary16 pattern -> f32, exact, every NaN 0x7FC00000
                (binary16.to_f32_array).
    fold_rows   out[j] = +0 + x[0,j] + x[1,j] + ... + x[rows-1,j], rows in
-               order, vectorized across j (tensor.seq_sum).  NaNs are
-               left for the caller to make canonical.
+               order, vectorized across j, every NaN 0x7FC00000
+               (tensor.seq_sum).
 
    Each loop is defined once, for x86-64 CPUs with AVX2 and F16C: it
    rounds eight acc16 columns and converts eight values at a time with
@@ -20,7 +20,7 @@
    and vcvtph2ps.  vector_path() says whether this CPU runs them; the
    loader asks once.  Where it says 0 (on any other architecture the
    file holds only vector_path), the loader binds nothing and every
-   caller runs its numpy loop, which gives the same bits.
+   loop runs as its numpy twin in _native.py, which gives the same bits.
 
    Build with -ffp-contract=off, so that no product is fused into its
    add.  The loops are not built with FMA either. */
@@ -118,6 +118,8 @@ AVX2 void fold_rows(const float *x, float *out, long rows, long cols)
     for (long r = 0; r < rows; r++)
         for (long j = 0; j < cols; j++)
             out[j] += x[r * cols + j];
+    for (long j = 0; j < cols; j++)
+        out[j] = out[j] == out[j] ? out[j] : __builtin_nanf("");
 }
 #else
 int vector_path(void)

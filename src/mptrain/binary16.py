@@ -6,12 +6,10 @@ bit, 5 exponent bits, 10 mantissa bits.
 
 The module holds conversions only, no arithmetic: callers widen with
 to_f32_array (exact), compute in f32 and round once with
-from_f32_array.  Both run the compiled loops of `_native` and, where
-those cannot be built, numpy's native half conversion with its NaNs
-pinned to one canonical pattern; the two give the same bits.  The test
-suite checks every path bit-exactly against exact rational oracles on
-all 65536 patterns, on every f32 exponent and on every rounding
-boundary.
+from_f32_array.  Each is one call into `_native`, which runs the
+compiled loop or its numpy twin with the same bits.  The test suite
+checks both bit-exactly against exact rational oracles on all 65536
+patterns, on every f32 exponent and on every rounding boundary.
 
 All rounding is round-to-nearest-even.  Subnormals are fully supported
 (never flushed).  Every NaN collapses to one canonical quiet NaN.
@@ -21,57 +19,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._native import lib as _kernel
+from ._native import CANONICAL_NAN, canonicalize_f32_nans, lib  # noqa: F401 (API)
 
 MANT_MASK = 0x03FF
-CANONICAL_NAN = 0x7E00
-
-_F32_NAN_BITS = 0x7FC00000
 
 
 def from_f32_array(x: np.ndarray) -> np.ndarray:
     """float32 array -> uint16 pattern array, rounded to nearest even."""
-    x32 = np.asarray(x, dtype=np.float32, order="C")
-    lib = _kernel()
-    if lib is None:
-        return _from_f32_numpy(x32)
-    bits = np.empty(x32.shape, dtype=np.uint16)
-    lib.f32_to_f16(x32.ctypes.data, bits.ctypes.data, x32.size)
-    return bits
-
-
-def _from_f32_numpy(x32: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = x32.astype(np.float16)
-    nan_mask = np.isnan(x32)  # an f32 is NaN exactly when its f16 rounding is
-    bits = h.view(np.uint16)
-    if nan_mask.any():
-        bits[nan_mask] = CANONICAL_NAN
-    return bits
+    return lib().f32_to_f16(np.asarray(x, dtype=np.float32, order="C"))
 
 
 def to_f32_array(bits: np.ndarray) -> np.ndarray:
     """uint16 pattern array -> float32 array (exact; NaNs canonical)."""
-    h = np.asarray(bits, dtype=np.uint16, order="C")
-    lib = _kernel()
-    if lib is None:
-        return _to_f32_numpy(h)
-    x = np.empty(h.shape, dtype=np.float32)
-    lib.f16_to_f32(h.ctypes.data, x.ctypes.data, h.size)
-    return x
-
-
-def _to_f32_numpy(h: np.ndarray) -> np.ndarray:
-    return canonicalize_f32_nans(h.view(np.float16).astype(np.float32))
-
-
-def canonicalize_f32_nans(x: np.ndarray) -> np.ndarray:
-    """Overwrite every NaN of the float32 array x, in place, with the
-    canonical quiet NaN 0x7FC00000; returns x."""
-    nan_mask = np.isnan(x)
-    if nan_mask.any():
-        x[nan_mask] = np.uint32(_F32_NAN_BITS).view(np.float32)
-    return x
+    return lib().f16_to_f32(np.asarray(bits, dtype=np.uint16, order="C"))
 
 
 def exponent_of_array(x: np.ndarray) -> np.ndarray:

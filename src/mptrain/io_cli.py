@@ -675,13 +675,16 @@ def emit_plot(csv_paths: list, out_path, metric: Optional[str] = None,
         metric_name = metric_name or name
         label = os.path.basename(os.path.dirname(os.path.abspath(p))) or \
             os.path.basename(p)
-        series.append((label, x, y))
+        finite = np.isfinite(x) & np.isfinite(y)  # say grad_norm on an overflow step
+        series.append((label, x[finite], y[finite]))
 
     width, height = 800, 480
     ml, mr, mt, mb = 70, 160, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
 
     xs = np.concatenate([s[1] for s in series])
+    if xs.size == 0:
+        raise DataError(f"no finite {metric_name} values to plot")
     if logy:  # chart log10 of the positive values on the linear path
         series = [(label, x[y > 0], np.array([math.log10(v) for v in y[y > 0]]))
                   for label, x, y in series]

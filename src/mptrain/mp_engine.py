@@ -377,17 +377,17 @@ def load_checkpoint(path) -> tuple[nn.Model, dict[str, Parameter]]:
         if not header or header[0] != _CKPT_MAGIC:
             raise ValueError("bad checkpoint magic")
 
-        specs: dict[int, str] = {}
-        names: list[str] = []
-        for text in header[1:]:
-            key, _, value = text.partition(" = ")
-            if key.startswith("layer."):
-                specs[int(key[6:])] = value
-            elif key.startswith("entry."):
-                names.append(value)
-            else:
-                raise ValueError(f"unknown manifest line {text!r}")
-        model = nn.model_from_specs([specs[i] for i in sorted(specs)])
+        # exactly what save_checkpoint writes: layer.0..L-1, then entry.0..E-1
+        lines = [text.partition(" = ") for text in header[1:]]
+        specs = [value for key, _, value in lines if key.startswith("layer.")]
+        names = [value for key, _, value in lines if key.startswith("entry.")]
+        if [key for key, _, _ in lines] != [f"layer.{i}" for i in range(len(specs))] \
+                + [f"entry.{i}" for i in range(len(names))]:
+            raise ValueError("checkpoint manifest keys are not layer.0, layer.1, "
+                             "... then entry.0, entry.1, ...")
+        if len(set(names)) != len(names):
+            raise ValueError("checkpoint manifest names an entry twice")
+        model = nn.model_from_specs(specs)
 
         tensors = {name: T.read_tensor(fh) for name in names}
         if fh.read(1):
@@ -396,11 +396,12 @@ def load_checkpoint(path) -> tuple[nn.Model, dict[str, Parameter]]:
     for name, t in tensors.items():
         if t.dtype is not DType.F32:
             raise ValueError(f"checkpoint {name} is {t.dtype.name}, not F32")
-    # every parameter and state entry that the layers build, by shape
-    expected = {f"param.{k}": shape for k, shape in model.param_shapes().items()}
+    # every parameter, its momentum and each state entry that the layers
+    # build, by shape
+    expected = {f"{kind}.{k}": shape for k, shape in model.param_shapes().items()
+                for kind in ("param", "momentum")}
     expected.update((f"state.{k}", arr.shape) for k, arr in model.state.items())
-    found = {name: t.shape for name, t in tensors.items()
-             if not name.startswith("momentum.")}
+    found = {name: t.shape for name, t in tensors.items()}
     if found != expected:
         raise ValueError(f"checkpoint entries {found} do not match its "
                          f"layers' {expected}")
@@ -408,10 +409,6 @@ def load_checkpoint(path) -> tuple[nn.Model, dict[str, Parameter]]:
               if name.startswith("param.")}
     for name, t in tensors.items():
         if name.startswith("momentum."):
-            shape = expected.get("param." + name[9:])
-            if t.shape != shape:
-                raise ValueError(f"checkpoint {name} has shape {t.shape}, "
-                                 f"its parameter {shape}")
             params[name[9:]].momentum_buf = t.data.copy()
         elif name.startswith("state."):
             model.state[name[6:]] = t.data.copy()

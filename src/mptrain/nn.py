@@ -272,9 +272,17 @@ class ReLU(Layer):
         return dx, {}
 
 
+def _finite_f32(name: str, value: float) -> float:
+    """value as a float; ValueError unless it is finite as the layer's f32."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float32(value)):
+            raise ValueError(f"{name} must be finite as an f32, got {value!r}")
+    return float(value)
+
+
 class LeakyReLU(Layer):
     def __init__(self, slope: float = 0.01):
-        self.slope = float(slope)
+        self.slope = _finite_f32("slope", slope)
 
     def forward(self, x, params, policy, rec, train, state):
         rec["x"] = x
@@ -322,11 +330,11 @@ class BatchNorm(Layer):
             raise ValueError("features must be positive")
         if not 0 < momentum <= 1:
             raise ValueError("momentum must be in (0, 1]")
-        if epsilon <= 0:
+        self.epsilon = _finite_f32("epsilon", epsilon)
+        if not np.float32(epsilon) > 0:
             raise ValueError("epsilon must be > 0")
         self.features = features
         self.momentum = float(momentum)
-        self.epsilon = float(epsilon)
 
     def param_shapes(self):
         return {"gamma": (self.features,), "beta": (self.features,)}

@@ -11,7 +11,8 @@ and returns its f32 accumulator, which the caller stores.
 Reductions fold their axis sequentially from index 0; full reductions
 fold the leading axis first, then recurse on the remaining shape.  This
 makes results bit-identical run to run, at the cost of never delegating
-accumulation to a BLAS.
+accumulation to a BLAS.  Matmul and each fold are one call into
+`_native`, which runs the compiled loop or its numpy twin, same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import binary16 as b16
-from ._native import lib as _kernel
+from ._native import lib
 
 
 class DType(enum.Enum):
@@ -121,67 +122,17 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32) -> np.ndarra
     still exact: 11-bit significands) rounds the accumulator to the
     binary16 grid after every add, modeling hardware whose accumulator
     is f16, so its result is already on that grid.  Every NaN of the
-    result is the canonical one.  The loop runs as `mm` in `_native.c`,
-    or, where that cannot be built, in `_matmul_loop` with the same
-    bits.
+    result is the canonical one.  The loop is `mm` of `_native`.
     """
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ValueError("matmul expects 2-d tensors")
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
     if a.dtype is not b.dtype:
         raise ValueError("matmul operands must share a dtype")
     if mode is AccumMode.ACC16 and a.dtype is not DType.F16:
         raise ValueError("ACC16 accumulation is defined for F16 operands only")
-
-    lib = _kernel()
-    if lib is None:
-        return _matmul_loop(a, b, mode)
-    aw, bw = a.widen(), b.widen()
-    pb = bw.ctypes.data
-    if pb % 32:
-        bw, pb = _aligned_f32((k, n), bw)
-    acc, pc = _aligned_f32((m, n))
-    lib.mm(aw.ctypes.data, pb, pc, m, k, n, int(mode is AccumMode.ACC16))
-    return b16.canonicalize_f32_nans(acc)
-
-
-def _aligned_f32(shape, values: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """An f32 array of `shape` whose data starts on a 32-byte boundary,
-    holding `values` if given, and that address.
-
-    mm reads rows of b and c eight floats at a time.  Off a 32-byte
-    boundary every other load splits across two cache lines, which made a
-    128x784x256 product ~40% slower on an AVX2 Xeon, and where numpy's
-    allocator puts an array is down to the heap."""
-    size = math.prod(shape)
-    buf = np.empty(size + 7, dtype=np.float32)
-    addr = buf.ctypes.data
-    start = -addr % 32 // 4
-    out = buf[start:start + size].reshape(shape)
-    if values is not None:
-        out[...] = values
-    return out, addr + 4 * start
-
-
-def _matmul_loop(a: Tensor, b: Tensor, mode: AccumMode) -> np.ndarray:
-    """`matmul` on checked operands as a numpy loop over k: the fallback
-    where `mm` cannot be built, and the tests' reference for it."""
-    (m, k), n = a.shape, b.shape[1]
-    aw = a.widen()
-    bw = b.widen()
-    acc16 = mode is AccumMode.ACC16
-    acc = np.zeros((m, n), dtype=np.float32)
-    prod = np.empty((m, n), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(k):
-            np.multiply(aw[:, i, None], bw[None, i, :], out=prod)
-            np.add(acc, prod, out=acc)
-            if acc16:
-                acc = b16.to_f32_array(b16.from_f32_array(acc))
-    return b16.canonicalize_f32_nans(acc)
+    return lib().mm(a.widen(), b.widen(), mode is AccumMode.ACC16)
 
 
 def seq_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -189,43 +140,24 @@ def seq_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:
 
     A single axis folds sequentially from index 0.  axis=None folds the
     leading axis first and recurses, ending in a 0-d array; the order is
-    part of the reproducibility contract.  Every NaN of the result is
-    the canonical one.
+    part of the reproducibility contract.  Every NaN of a fold is the
+    canonical one (a 0-d input, with no axis to fold, comes back as is).
     """
     arr = np.asarray(values, dtype=np.float32)
-    if axis is None:
-        while arr.ndim > 0:
-            arr = _fold_axis(arr, 0)
-    else:
-        arr = _fold_axis(arr, axis)
-    # Which NaN an add yields depends on operand order, which numpy's
-    # SIMD loops do not fix; one canonical NaN keeps the bits fixed.
-    return b16.canonicalize_f32_nans(arr)
+    if axis is not None:
+        return _fold_axis(arr, axis)
+    while arr.ndim > 0:
+        arr = _fold_axis(arr, 0)
+    return arr
 
 
 def _fold_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     if not -arr.ndim <= axis < arr.ndim:
         raise ValueError(f"axis {axis} out of range for {arr.ndim}-d input")
-    lib = _kernel()
-    if lib is None:
-        return _fold_axis_numpy(arr, axis)
     # fold_rows adds row r to the sum of rows 0..r-1, from +0, one
     # vector across the columns per row
-    rows = np.ascontiguousarray(np.moveaxis(arr, axis, 0) if axis % arr.ndim else arr)
-    out = np.empty(rows.shape[1:], dtype=np.float32)
-    lib.fold_rows(rows.ctypes.data, out.ctypes.data, rows.shape[0], out.size)
-    return out
-
-
-def _fold_axis_numpy(arr: np.ndarray, axis: int) -> np.ndarray:
-    """`_fold_axis` where `fold_rows` cannot be built, and the tests'
-    reference for it."""
-    # accumulate adds index i to the sum of 0..i-1 in index order, so its
-    # last slice is the fold.  It starts from index 0, not from +0, which
-    # differs only where every term is -0: the +0 restores a +0 sum.
-    with np.errstate(over="ignore", invalid="ignore"):
-        last = np.moveaxis(np.add.accumulate(arr, axis=axis), axis, 0)[-1, ...]
-        return np.add(last, np.float32(0), out=last)
+    return lib().fold_rows(np.ascontiguousarray(
+        np.moveaxis(arr, axis, 0) if axis % arr.ndim else arr))
 
 
 def transpose(t: Tensor, axes: Sequence[int] | None = None) -> Tensor:

@@ -74,17 +74,17 @@ def reload_kernel(monkeypatch) -> None:
     def unbuildable():
         raise FileNotFoundError("cc")
     monkeypatch.setattr(_native, "_build", unbuildable)
-    monkeypatch.setattr(_native, "_loaded", _native._UNLOADED)
+    monkeypatch.setattr(_native, "_loaded", None)
 
 
 def bind_loops(monkeypatch, variant: str) -> None:
     """Run every compiled loop as `variant` for the rest of the test:
-    "avx2" binds the compiled library, "numpy" runs each caller's numpy
-    loop (with no warning).  Skips the test where the library cannot be
+    "avx2" binds the compiled library, "numpy" runs each loop's numpy
+    twin, `_native.NUMPY` (with no warning).  Skips the test where the library cannot be
     built or this CPU cannot run it."""
     assert variant in ("avx2", "numpy"), variant
     if variant == "numpy":
-        monkeypatch.setattr(_native, "_loaded", None)
+        monkeypatch.setattr(_native, "_loaded", _native.NUMPY)
         return
     try:
         loops = _native._bind(_native._build())
@@ -111,4 +111,4 @@ def cpu_without_avx2(monkeypatch) -> None:
             return getattr(self._dll, name)
 
     monkeypatch.setattr(_native.ctypes, "CDLL", Library)
-    monkeypatch.setattr(_native, "_loaded", _native._UNLOADED)
+    monkeypatch.setattr(_native, "_loaded", None)

@@ -131,3 +131,25 @@ def test_nn_rounds_only_through_store():
                if isinstance(node, ast.Attribute) and node.attr == "store"
                and id(node) not in inside]
     assert inside and outside == []
+
+
+def test_only_native_touches_raw_memory_or_names_the_numpy_twins():
+    # binary16 and tensor call one function of `_native.lib()` per loop:
+    # no addresses, no ctypes, and no branch to the numpy twins
+    twins = {"NUMPY", *(fn.__name__ for fn in vars(_native.NUMPY).values())}
+    found = []
+    for path in sorted((ROOT / "src" / "mptrain").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if path.stem != "_native" and (
+                    any(name.split(".")[0] == "ctypes" for name in names)
+                    or isinstance(node, ast.Attribute) and node.attr == "ctypes"):
+                found.append(f"{path.stem}:{node.lineno} ctypes")
+            named = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.name if isinstance(node, ast.alias) else None)
+            if path.stem in ("binary16", "tensor") and named in twins:
+                found.append(f"{path.stem}:{getattr(node, 'lineno', '?')} {named}")
+    assert found == []

@@ -6,9 +6,9 @@ its config with `workloads.build_config` at the default seed, runs
 `io_cli.compare` over its arms, and compares each arm's digests, as
 `child.artifact_record` takes them (SHA-256 of steps.csv, epochs.csv
 and model.ckpt), with perfbench/digests.json.  It reads the perfbench
-files and writes none of them.  Two workloads run again with the matmul
-kernel unbuildable, so that the numpy loop it falls back to must write
-the same bytes, and one runs on a CPU that reads as having no AVX2.
+files and writes none of them.  Two workloads run again with the
+compiled loops unbuildable, so that their numpy twins must write the
+same bytes, and one runs on a CPU that reads as having no AVX2.
 
 Like the benchmark's own digest check, this assumes the rounding of
 numpy's `exp`, `tanh` and `log` on the host that recorded the digests
@@ -23,8 +23,7 @@ import warnings
 
 import pytest
 
-from mptrain import io_cli
-from mptrain import tensor as T
+from mptrain import _native, io_cli
 
 import helpers
 
@@ -57,10 +56,10 @@ def test_workload_artifacts_match_recorded_digests(name, tmp_path):
 @pytest.mark.parametrize("name", ["rescue_small", "mnist_acc16"])
 def test_numpy_matmul_fallback_writes_the_recorded_artifacts(name, tmp_path,
                                                              monkeypatch):
-    helpers.reload_kernel(monkeypatch)  # every matmul runs T._matmul_loop
+    helpers.reload_kernel(monkeypatch)  # every loop runs its numpy twin
     with pytest.warns(RuntimeWarning, match="numpy loop"):
         _artifacts_match_recorded_digests(name, tmp_path)
-    assert T._kernel() is None
+    assert _native.lib() is _native.NUMPY
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -72,4 +71,4 @@ def test_cpu_without_avx2_writes_the_recorded_artifacts(tmp_path, monkeypatch):
     messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
     assert len(messages) == 1, messages
     assert "numpy loop" in messages[0] and "no AVX2 and F16C" in messages[0]
-    assert T._kernel() is None
+    assert _native.lib() is _native.NUMPY

@@ -517,9 +517,17 @@ def _checkpoint_without_parameters(tmp):
     return ["histogram", str(tmp / "n.ckpt")]
 
 
-def _checkpoint(tmp, name, entries, layers=("Linear(4,3,bias=true)",), f16=()):
+def _checkpoint(tmp, name, entries, layers=("Linear(4,3,bias=true)",), f16=(),
+                momentum=True):
     """A checkpoint of `layers` plus MeanSquaredError, holding tensors of
-    ones of the given shapes, F32 except the entries named in f16."""
+    ones of the given shapes, F32 except the entries named in f16.  With
+    `momentum`, each param.k that entries give no momentum.k gets one of
+    its shape, so that the file is malformed only in the way it names."""
+    if momentum:
+        named = {key for key, _ in entries}
+        entries = entries + [("momentum" + key[5:], shape) for key, shape in entries
+                             if key.startswith("param.")
+                             and "momentum" + key[5:] not in named]
     manifest = ["MPCKPT 1"]
     manifest += [f"layer.{i} = {spec}"
                  for i, spec in enumerate(layers + ("MeanSquaredError",))]
@@ -669,6 +677,53 @@ def _checkpoint_with_a_spare_byte(tmp):
     return ["histogram", str(tmp / "m.ckpt")]
 
 
+def _checkpoint_missing_a_momentum(tmp):
+    return _checkpoint(tmp, "nm.ckpt", [("param.0.weight", (4, 3)),
+                                        ("param.0.bias", (3,)),
+                                        ("momentum.0.weight", (4, 3))], momentum=False)
+
+
+def _saved_checkpoint_with(tmp, old, new):
+    """A checkpoint that save_checkpoint writes, with `old` in its
+    manifest replaced by `new`."""
+    model = nn.model_from_specs(["Linear(4,3,bias=true)", "LeakyReLU(0.01)",
+                                 "BatchNorm(3)", "MeanSquaredError"])
+    eng.save_checkpoint(tmp / "x.ckpt", model, eng.make_parameters(model, 0))
+    raw = (tmp / "x.ckpt").read_bytes()
+    assert old in raw
+    (tmp / "x.ckpt").write_bytes(raw.replace(old, new, 1))
+    return ["histogram", str(tmp / "x.ckpt")]
+
+
+def _checkpoint_with_a_layer_index_gap(tmp):
+    return _saved_checkpoint_with(tmp, b"layer.3 = ", b"layer.9 = ")
+
+
+def _checkpoint_with_an_entry_out_of_order(tmp):
+    return _saved_checkpoint_with(tmp, b"entry.1 = ", b"entry.7 = ")
+
+
+def _checkpoint_naming_an_entry_twice(tmp):
+    return _checkpoint(tmp, "t.ckpt", [("param.0.weight", (4, 3)), ("param.0.bias", (3,)),
+                                       ("momentum.0.bias", (3,)),
+                                       ("momentum.0.bias", (3,))])
+
+
+def _checkpoint_of_a_nan_slope(tmp):
+    return _saved_checkpoint_with(tmp, b"LeakyReLU(0.01)", b"LeakyReLU(nan)")
+
+
+def _checkpoint_of_an_inf_epsilon(tmp):
+    return _saved_checkpoint_with(tmp, b"epsilon=1e-05", b"epsilon=inf")
+
+
+def _plot_of_no_finite_value(tmp):
+    (tmp / "steps.csv").write_text(eng.STEP_CSV_HEADER + "\n1,0.5,1073741824,1,1,nan\n"
+                                   "2,0.5,536870912,1,1,inf\n")
+    return ["plot", str(tmp / "steps.csv"), "--metric", "grad_norm", "-o",
+            str(tmp / "p.svg")]
+
+
 @pytest.mark.parametrize("make_argv", [
     _garbage_csv, _garbage_checkpoint, _missing_file, _short_tensor_header,
     _checkpoint_without_parameters, _checkpoint_weight_of_wrong_shape,
@@ -678,13 +733,39 @@ def _checkpoint_with_a_spare_byte(tmp):
     _non_numeric_cell, _idx_dims_cut_short, _idx_without_images,
     _idx_images_of_height_0, _idx_images_with_a_spare_image,
     _gzipped_idx_images_with_a_spare_image, _gzipped_idx_cut_short,
-    _checkpoint_with_a_spare_byte])
+    _checkpoint_with_a_spare_byte, _checkpoint_missing_a_momentum,
+    _checkpoint_with_a_layer_index_gap, _checkpoint_with_an_entry_out_of_order,
+    _checkpoint_naming_an_entry_twice, _checkpoint_of_a_nan_slope,
+    _checkpoint_of_an_inf_epsilon, _plot_of_no_finite_value])
 def test_cli_malformed_file_exits_2_with_one_line(make_argv, tmp_path, capsys):
     assert io_cli.main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     if make_argv in (_gzipped_idx_images_with_a_spare_image, _gzipped_idx_cut_short):
         assert "train-images-idx3-ubyte.gz:" in err  # the file read, not the absent one
+
+
+_EPOCHS_HEADER = "epoch,train_loss,val_loss,val_acc\n"
+
+
+@pytest.mark.parametrize("name,text,metric", [
+    ("steps.csv", eng.STEP_CSV_HEADER + "\n1,0.5,1073741824,1,1,nan\n"
+     "2,0.5,536870912,0,0,0.25\n3,0.4,536870912,0,0,0.5\n", "grad_norm"),
+    ("epochs.csv", _EPOCHS_HEADER + "0,1.0,nan,0.5\n1,0.9,0.8,0.6\n", None),
+    ("epochs.csv", _EPOCHS_HEADER + "0,1.0,inf,0.5\n1,0.9,0.8,0.6\n2,0.8,-inf,0.7\n",
+     None),
+], ids=["steps_nan", "epochs_nan", "epochs_inf"])
+@pytest.mark.parametrize("logy", [False, True])
+def test_cli_plot_drops_nan_and_inf_points(name, text, metric, logy, tmp_path):
+    (tmp_path / name).write_text(text)
+    svg = tmp_path / "p.svg"
+    argv = ["plot", str(tmp_path / name), "-o", str(svg)]
+    argv += ["--metric", metric] if metric else []
+    assert io_cli.main(argv + (["--logy"] if logy else [])) == 0
+    lines = ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}polyline")
+    coords = [float(v) for line in lines for xy in line.get("points").split()
+              for v in xy.split(",")]
+    assert coords and np.isfinite(coords).all()
 
 
 def _idx_images_of_dims(dims):
@@ -764,6 +845,12 @@ def test_cli_init_override_of_wrong_shape_exits_1(tmp_path, capsys):
      "SoftmaxCrossEntropy", "field model.layers"),
     ("model.layers", "Linear(bias=false,16,4); SoftmaxCrossEntropy", "field model.layers"),
     ("model.layers", "Linear(16,bias=false,4); SoftmaxCrossEntropy", "field model.layers"),
+    # layer arguments that are not finite (or not > 0) as the layer's f32
+    *[("model.layers", f"{spec}; Linear(16,4); SoftmaxCrossEntropy",
+       "field model.layers: ")
+      for spec in ["LeakyReLU(nan)", "LeakyReLU(-1e39)", "LeakyReLU(inf)",
+                   "BatchNorm(16,epsilon=inf)", "BatchNorm(16,epsilon=nan)",
+                   "BatchNorm(16,epsilon=1e-50)"]],
     # parameters whose initial draw needs more bytes than numpy can
     # allocate, rejected unallocated
     ("model.layers", "Linear(16,10000000000000000000); SoftmaxCrossEntropy",

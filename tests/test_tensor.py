@@ -1,3 +1,4 @@
+import ctypes
 import io
 import os
 import shutil
@@ -218,9 +219,13 @@ _INF, _NEG_INF, _ONE, _ZERO = 0x7F800000, 0xFF800000, 0x3F800000, 0x00000000
 ])
 def test_matmul_acc32_f32_result_nan_is_canonical(a_bits, b_bits):
     a, b = _f32_tensor((1, 2), a_bits), _f32_tensor((2, 1), b_bits)
-    for fn in (T.matmul, T._matmul_loop):
-        out = T.store(fn(a, b, T.AccumMode.ACC32), T.DType.F32)
-        assert out.data.view(np.uint32)[0, 0] == 0x7FC00000
+    for out in (T.matmul(a, b, T.AccumMode.ACC32), _numpy_mm(a, b, T.AccumMode.ACC32)):
+        assert T.store(out, T.DType.F32).data.view(np.uint32)[0, 0] == 0x7FC00000
+
+
+def _numpy_mm(a, b, mode):
+    """`T.matmul` on checked operands through the numpy twin of `mm`."""
+    return _native.NUMPY.mm(a.widen(), b.widen(), mode is T.AccumMode.ACC16)
 
 
 _F16_SPECIAL = [0x0000, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0xFE00, 0x7C01, 0xFFFF,
@@ -254,22 +259,33 @@ def test_matmul_kernel_matches_numpy_loop_bit_for_bit():
         a = _adversarial(rng, (m, k), dtype, rate)
         b = _adversarial(rng, (k, n), dtype, rate)
         got = T.matmul(a, b, mode)
-        assert helpers.bits_equal(got, T._matmul_loop(a, b, mode)), \
+        assert helpers.bits_equal(got, _numpy_mm(a, b, mode)), \
             (case, dtype, mode, (m, k, n))
 
 
 def test_matmul_hands_mm_aligned_operands(monkeypatch):
     # F32 b that starts 4 bytes past a 32-byte boundary, in a small and a
-    # large product: mm gets an aligned copy of it and an aligned
-    # accumulator, and the bits stay those of the numpy loop.
-    helpers.bind_loops(monkeypatch, "avx2")
+    # large product: the compiled mm gets an aligned copy of it and an
+    # aligned accumulator, and the bits stay those of the numpy loop.
     seen = []
-    mm = _native.lib().mm
+    load = ctypes.CDLL
 
-    def spy(a, b, c, *shape):
-        seen.append((b % 32, c % 32))
-        return mm(a, b, c, *shape)
-    monkeypatch.setattr(_native.lib(), "mm", spy)
+    class Library:
+        def __init__(self, path):
+            self._dll = load(path)
+            real = self._dll.mm
+            real.argtypes = _native._LOOPS["mm"]
+
+            def mm(a, b, c, *shape):
+                seen.append((b % 32, c % 32))
+                return real(a, b, c, *shape)
+            self.mm = mm
+
+        def __getattr__(self, name):
+            return getattr(self._dll, name)
+
+    monkeypatch.setattr(_native.ctypes, "CDLL", Library)
+    helpers.bind_loops(monkeypatch, "avx2")
     rng = np.random.default_rng(1714)
     for m, k, n in [(3, 5, 7), (64, 256, 72)]:
         buf = np.empty(k * n + 8, dtype=np.float32)
@@ -279,8 +295,7 @@ def test_matmul_hands_mm_aligned_operands(monkeypatch):
         assert b.ctypes.data % 32 == 4
         a = _adversarial(rng, (m, k), T.DType.F32, 0.01)
         b = T.Tensor(b, T.DType.F32)
-        assert helpers.bits_equal(T.matmul(a, b),
-                                  T._matmul_loop(a, b, T.AccumMode.ACC32))
+        assert helpers.bits_equal(T.matmul(a, b), _numpy_mm(a, b, T.AccumMode.ACC32))
     assert seen == [(0, 0), (0, 0)]
 
 
@@ -296,7 +311,7 @@ def test_matmul_without_kernel_warns_once_and_keeps_the_bits(monkeypatch):
     assert [str(w.message).count("numpy loop") for w in caught] == [1]
     for loop in ("matmul", "binary16 store and widen", "seq_sum fold"):
         assert loop in str(caught[0].message)
-    assert T._kernel() is None
+    assert _native.lib() is _native.NUMPY
     monkeypatch.undo()
     for out, mode in zip(got, (T.AccumMode.ACC16, T.AccumMode.ACC32)):
         assert helpers.bits_equal(out, T.matmul(a, b, mode))
@@ -304,7 +319,7 @@ def test_matmul_without_kernel_warns_once_and_keeps_the_bits(monkeypatch):
 
 def _as(monkeypatch, variant, fn):
     """fn() with every compiled loop run as `variant` ("numpy": every
-    caller runs its numpy loop)."""
+    loop runs its numpy twin)."""
     helpers.bind_loops(monkeypatch, variant)
     return fn()
 
