@@ -2,10 +2,19 @@
 
    mm          c = a @ b for a [m,k] and b [k,n], all f32 and C-contiguous
                (tensor.matmul).  Every c[i,j] starts at +0 and adds
-               a[i,p]*b[p,j] for p = 0..k-1 in that order; only the
-               independent j loop is vectorized.  With acc16 the f32 sum
-               of each add is rounded to binary16 (nearest even) and
-               widened back before the next add.
+               a[i,p]*b[p,j] for p = 0..k-1 in that order.  With acc16
+               the f32 sum of each add is rounded to binary16 (nearest
+               even) and widened back before the next add.  The loop
+               keeps a block of 6 rows x 16 columns of c in twelve
+               registers while p runs, and stores each once at the end;
+               the last m % 6 rows go one at a time, and the last 1..15
+               columns as one or two eight-wide pieces, the last masked
+               so that nothing outside a, b and c is read or written.
+               Each output still takes its own products and adds in p
+               order, one mul and one add, so its bits do not depend on
+               the block it falls in.  Twelve sums, not eight, keep the
+               ACC16 loop busy while each waits out its add and two
+               conversions.
    f32_to_f16  f32 -> binary16 pattern, nearest even, every NaN 0x7E00
                (binary16.from_f32_array).
    f16_to_f32  binary16 pattern -> f32, exact, every NaN 0x7FC00000
@@ -54,32 +63,76 @@ static inline AVX2 __attribute__((always_inline)) __m256 widen8(__m128i h)
     return _mm256_blendv_ps(x, nan, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
 }
 
+/* c[0..R-1, 0..8V-1] of a block of R = 6 or 1 rows and V = 2 or 1
+   eight-wide pieces, the last piece limited to the lanes of `tail` when
+   `masked`.  Each of the R*V sums stays in a register from +0 through
+   p = k-1 and is stored once. */
+static inline AVX2 __attribute__((always_inline)) void block(
+    const float *a, const float *b, float *c, long k, long n,
+    int R, int V, int masked, __m256i tail, int acc16)
+{
+    __m256 acc[6][2];
+    for (int r = 0; r < R; r++)
+        for (int v = 0; v < V; v++)
+            acc[r][v] = _mm256_setzero_ps();
+    for (long p = 0; p < k; p++) {
+        __m256 bp[2];
+        for (int v = 0; v < V; v++)
+            bp[v] = masked && v == V - 1 ? _mm256_maskload_ps(b + p * n + 8 * v, tail)
+                                         : _mm256_loadu_ps(b + p * n + 8 * v);
+        for (int r = 0; r < R; r++) {
+            const __m256 ar = _mm256_broadcast_ss(a + r * k + p);
+            for (int v = 0; v < V; v++) {
+                acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(ar, bp[v]));
+                if (acc16)
+                    acc[r][v] = _mm256_cvtph_ps(
+                        _mm256_cvtps_ph(acc[r][v], _MM_FROUND_TO_NEAREST_INT));
+            }
+        }
+    }
+    for (int r = 0; r < R; r++)
+        for (int v = 0; v < V; v++) {
+            if (masked && v == V - 1)
+                _mm256_maskstore_ps(c + r * n + 8 * v, tail, acc[r][v]);
+            else
+                _mm256_storeu_ps(c + r * n + 8 * v, acc[r][v]);
+        }
+}
+
+/* Rows 0..R-1 of c: 16-column blocks, then the last 1..15 columns as
+   one block of one or two pieces, the last one masked. */
+static inline AVX2 __attribute__((always_inline)) void rows(
+    const float *a, const float *b, float *c, long k, long n,
+    int R, __m256i tail, int acc16)
+{
+    long j = 0;
+    for (; j + 16 <= n; j += 16)
+        block(a, b + j, c + j, k, n, R, 2, 0, tail, acc16);
+    if (n - j > 8)
+        block(a, b + j, c + j, k, n, R, 2, 1, tail, acc16);
+    else if (n > j)
+        block(a, b + j, c + j, k, n, R, 1, 1, tail, acc16);
+}
+
+static inline AVX2 __attribute__((always_inline)) void mm_blocks(
+    const float *a, const float *b, float *c, long m, long k, long n, int acc16)
+{
+    const __m256i tail = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32((int)((n - 1) % 8 + 1)), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    long i = 0;
+    for (; i + 6 <= m; i += 6)
+        rows(a + i * k, b, c + i * n, k, n, 6, tail, acc16);
+    for (; i < m; i++)
+        rows(a + i * k, b, c + i * n, k, n, 1, tail, acc16);
+}
+
 AVX2 void mm(const float *a, const float *b, float *c,
              long m, long k, long n, int acc16)
 {
-    for (long i = 0; i < m; i++) {
-        float *ci = c + i * n;
-        memset(ci, 0, n * sizeof *ci);
-        for (long p = 0; p < k; p++) {
-            const float av = a[i * k + p], *bp = b + p * n;
-            if (!acc16) {
-                for (long j = 0; j < n; j++)
-                    ci[j] += av * bp[j];
-                continue;
-            }
-            const __m256 av8 = _mm256_set1_ps(av);
-            long j = 0;
-            for (; j + 8 <= n; j += 8) {
-                __m256 s = _mm256_add_ps(_mm256_loadu_ps(ci + j),
-                                         _mm256_mul_ps(av8, _mm256_loadu_ps(bp + j)));
-                _mm256_storeu_ps(ci + j, _mm256_cvtph_ps(
-                    _mm256_cvtps_ph(s, _MM_FROUND_TO_NEAREST_INT)));
-            }
-            for (; j < n; j++)
-                ci[j] = _cvtsh_ss(_cvtss_sh(ci[j] + av * bp[j],
-                                            _MM_FROUND_TO_NEAREST_INT));
-        }
-    }
+    if (acc16)
+        mm_blocks(a, b, c, m, k, n, 1);
+    else
+        mm_blocks(a, b, c, m, k, n, 0);
 }
 
 /* The last n % 8 elements go through the same eight-wide code, padded. */

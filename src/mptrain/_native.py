@@ -103,21 +103,24 @@ def _bind(path) -> types.SimpleNamespace:
         c_mm(a.ctypes.data, pb, pc, m, k, n, acc16)
         return canonicalize_f32_nans(c)
 
-    def convert(c_loop, dtype):
-        def run(x):
-            out = np.empty(x.shape, dtype=dtype)
-            c_loop(x.ctypes.data, out.ctypes.data, x.size)
-            return out
-        return run
+    def f32_to_f16(x):
+        h = np.empty(x.shape, dtype=np.uint16)
+        c_store(x.ctypes.data, h.ctypes.data, x.size)
+        return h
+
+    def f16_to_f32(h):
+        # aligned, so that mm takes a widened b without copying it
+        x, px = _aligned_f32(h.shape)
+        c_widen(h.ctypes.data, px, h.size)
+        return x
 
     def fold_rows(rows):
         out = np.empty(rows.shape[1:], dtype=np.float32)
         c_fold(rows.ctypes.data, out.ctypes.data, rows.shape[0], out.size)
         return out
 
-    return types.SimpleNamespace(mm=mm, f32_to_f16=convert(c_store, np.uint16),
-                                 f16_to_f32=convert(c_widen, np.float32),
-                                 fold_rows=fold_rows)
+    return types.SimpleNamespace(mm=mm, f32_to_f16=f32_to_f16,
+                                 f16_to_f32=f16_to_f32, fold_rows=fold_rows)
 
 
 def _aligned_f32(shape, values: np.ndarray | None = None) -> tuple[np.ndarray, int]:

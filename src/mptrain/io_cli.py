@@ -647,9 +647,21 @@ def _read_metric_csv(path, metric: Optional[str]) -> tuple[str, np.ndarray, np.n
     return metric, x, y
 
 
+def _axis_range(lo: float, hi: float, pad: float, what: str) -> tuple[float, float]:
+    """[lo, hi] widened by `pad` of its span on each side, a zero span
+    first to the values' own magnitude (at least 1), so that the add is
+    not lost above 2**53.  DataError when the span is more than a double
+    holds."""
+    if hi == lo:
+        hi = lo + max(1.0, abs(lo))
+    pad *= hi - lo
+    lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise DataError(f"{what} values span more than a double holds")
+    return lo, hi
+
+
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
@@ -691,14 +703,9 @@ def emit_plot(csv_paths: list, out_path, metric: Optional[str] = None,
     ys = np.concatenate([s[2] for s in series])
     if ys.size == 0:
         raise DataError("log scale requires positive values")
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.0 if logy else 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _axis_range(float(xs.min()), float(xs.max()), 0.0, "x")
+    y_lo, y_hi = _axis_range(float(ys.min()), float(ys.max()), 0.0 if logy else 0.05,
+                             metric_name)
 
     def sx(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * pw

@@ -724,6 +724,11 @@ def _plot_of_no_finite_value(tmp):
             str(tmp / "p.svg")]
 
 
+def _plot_of_a_span_past_double(tmp):
+    (tmp / "e.csv").write_text(_EPOCHS_HEADER + "0,1.0,1e308,0.5\n1,0.9,-1e308,0.6\n")
+    return ["plot", str(tmp / "e.csv"), "-o", str(tmp / "e.svg")]
+
+
 @pytest.mark.parametrize("make_argv", [
     _garbage_csv, _garbage_checkpoint, _missing_file, _short_tensor_header,
     _checkpoint_without_parameters, _checkpoint_weight_of_wrong_shape,
@@ -736,7 +741,7 @@ def _plot_of_no_finite_value(tmp):
     _checkpoint_with_a_spare_byte, _checkpoint_missing_a_momentum,
     _checkpoint_with_a_layer_index_gap, _checkpoint_with_an_entry_out_of_order,
     _checkpoint_naming_an_entry_twice, _checkpoint_of_a_nan_slope,
-    _checkpoint_of_an_inf_epsilon, _plot_of_no_finite_value])
+    _checkpoint_of_an_inf_epsilon, _plot_of_no_finite_value, _plot_of_a_span_past_double])
 def test_cli_malformed_file_exits_2_with_one_line(make_argv, tmp_path, capsys):
     assert io_cli.main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -766,6 +771,20 @@ def test_cli_plot_drops_nan_and_inf_points(name, text, metric, logy, tmp_path):
     coords = [float(v) for line in lines for xy in line.get("points").split()
               for v in xy.split(",")]
     assert coords and np.isfinite(coords).all()
+
+
+@pytest.mark.parametrize("logy", [False, True])
+def test_cli_plot_of_a_constant_series_above_2_53(logy, tmp_path):
+    # lo + 1.0 == lo here: the zero span widens by the values' magnitude
+    (tmp_path / "e.csv").write_text(_EPOCHS_HEADER + "0,1.0,1e20,0.5\n1,0.9,1e20,0.6\n")
+    svg = tmp_path / "p.svg"
+    argv = ["plot", str(tmp_path / "e.csv"), "-o", str(svg)]
+    assert io_cli.main(argv + (["--logy"] if logy else [])) == 0
+    root = ElementTree.parse(svg)
+    line, = root.iter("{http://www.w3.org/2000/svg}polyline")
+    assert np.isfinite([float(v) for xy in line.get("points").split()
+                        for v in xy.split(",")]).all()
+    assert "1e+20" in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
 
 
 def _idx_images_of_dims(dims):

@@ -1,5 +1,7 @@
 import ctypes
 import io
+import math
+import mmap
 import os
 import shutil
 import subprocess
@@ -9,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptrain import _native
 from mptrain import binary16 as b16
@@ -266,20 +270,26 @@ def test_matmul_kernel_matches_numpy_loop_bit_for_bit():
 def test_matmul_hands_mm_aligned_operands(monkeypatch):
     # F32 b that starts 4 bytes past a 32-byte boundary, in a small and a
     # large product: the compiled mm gets an aligned copy of it and an
-    # aligned accumulator, and the bits stay those of the numpy loop.
-    seen = []
+    # aligned accumulator, and the bits stay those of the numpy loop.  An
+    # F16 b is widened into an aligned array, which mm takes as it is.
+    seen, widened = [], []
     load = ctypes.CDLL
 
     class Library:
         def __init__(self, path):
             self._dll = load(path)
-            real = self._dll.mm
-            real.argtypes = _native._LOOPS["mm"]
+            real_mm, real_widen = self._dll.mm, self._dll.f16_to_f32
+            real_mm.argtypes = _native._LOOPS["mm"]
+            real_widen.argtypes = _native._LOOPS["f16_to_f32"]
 
             def mm(a, b, c, *shape):
-                seen.append((b % 32, c % 32))
-                return real(a, b, c, *shape)
-            self.mm = mm
+                seen.append((b, c))
+                return real_mm(a, b, c, *shape)
+
+            def f16_to_f32(h, x, n):
+                widened.append(x)
+                return real_widen(h, x, n)
+            self.mm, self.f16_to_f32 = mm, f16_to_f32
 
         def __getattr__(self, name):
             return getattr(self._dll, name)
@@ -296,7 +306,16 @@ def test_matmul_hands_mm_aligned_operands(monkeypatch):
         a = _adversarial(rng, (m, k), T.DType.F32, 0.01)
         b = T.Tensor(b, T.DType.F32)
         assert helpers.bits_equal(T.matmul(a, b), _numpy_mm(a, b, T.AccumMode.ACC32))
-    assert seen == [(0, 0), (0, 0)]
+    assert [(b % 32, c % 32) for b, c in seen] == [(0, 0), (0, 0)]
+    assert widened == []
+    for m, k, n in [(3, 5, 7), (128, 256, 10)]:
+        a, b = (_adversarial(rng, shape, T.DType.F16, 0.01) for shape in [(m, k), (k, n)])
+        for mode in (T.AccumMode.ACC32, T.AccumMode.ACC16):
+            seen.clear()
+            widened.clear()
+            assert helpers.bits_equal(T.matmul(a, b, mode), _numpy_mm(a, b, mode))
+            (pb, pc), = seen
+            assert pb == widened[1] and (pb % 32, pc % 32) == (0, 0)
 
 
 def test_matmul_without_kernel_warns_once_and_keeps_the_bits(monkeypatch):
@@ -352,17 +371,27 @@ def test_native_build_removes_only_stale_libraries(tmp_path, monkeypatch):
 
 
 def test_matmul_vector_tails_match_numpy_loop(monkeypatch):
-    # n = 1..17 puts every column count below, at and past one and two
-    # eight-wide vectors; k = 300 products at scales whose ACC16 sums
-    # land in the f16 subnormals and beyond 65504.
+    # m = 1..9 puts rows below, at and past one six-row block, into the
+    # one-row tail; n = 1..33 and 256 put columns below, at and past one
+    # and two eight-wide pieces of a 16-column block.  At k = 300 two
+    # ACC16 scales make sums land in the f16 subnormals and beyond 65504,
+    # and ACC32 takes F32 operands with ±0, ±inf and NaNs mixed in.  Sums
+    # of -0 products only, in both modes, are +0 from the +0 start.
     rng = np.random.default_rng(1712)
     cases = []
-    for n in range(1, 18):
-        for scale, mode in [(2.0**-13, T.AccumMode.ACC16), (2.0**5, T.AccumMode.ACC16),
-                            (2.0**5, T.AccumMode.ACC32)]:
-            a, b = (T.store(rng.normal(0, scale, shape).astype(np.float32), T.DType.F16)
-                    for shape in [(3, 300), (300, n)])
-            cases.append((a, b, mode))
+    for m in range(1, 10):
+        for n in [*range(1, 34), 256]:
+            for scale, mode in [(2.0**-13, T.AccumMode.ACC16), (2.0**5, T.AccumMode.ACC16),
+                                (2.0**5, T.AccumMode.ACC32)]:
+                a, b = (T.store(rng.normal(0, scale, shape).astype(np.float32), T.DType.F16)
+                        for shape in [(m, 300), (300, n)])
+                cases.append((a, b, mode))
+            a, b = (_adversarial(rng, shape, T.DType.F32, 1 / 300)
+                    for shape in [(m, 300), (300, n)])
+            cases.append((a, b, T.AccumMode.ACC32))
+            negative_zero = helpers.full((m, 300), T.DType.F16, -0.0)
+            cases += [(negative_zero, helpers.full((300, n), T.DType.F16, 1.0), mode)
+                      for mode in (T.AccumMode.ACC16, T.AccumMode.ACC32)]
 
     def run():
         return [T.matmul(a, b, mode) for a, b, mode in cases]
@@ -370,9 +399,71 @@ def test_matmul_vector_tails_match_numpy_loop(monkeypatch):
     want = _as(monkeypatch, "numpy", run)
     got = _as(monkeypatch, "avx2", run)
     assert [w.tobytes() for w in want] == [g.tobytes() for g in got]
-    small = np.concatenate([w.ravel() for w in want[::3]])
+    small, big, _, special, *zeros = (np.concatenate([w.ravel() for w in want[i::6]])
+                                      for i in range(6))
     assert ((small != 0) & (abs(small) < 2.0**-14)).any()
-    assert np.isinf(np.concatenate([w.ravel() for w in want[1::3]])).any()
+    assert np.isinf(big).any()
+    assert np.isnan(special).any() and np.isinf(special).any()
+    assert np.isfinite(special).any()
+    assert not np.concatenate(zeros).view(np.uint32).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([(T.DType.F32, T.AccumMode.ACC32), (T.DType.F16, T.AccumMode.ACC32),
+                        (T.DType.F16, T.AccumMode.ACC16)]),
+       st.integers(0, 2**32 - 1))
+def test_matmul_rows_and_columns_alone_give_the_same_bits(m, k, n, path, seed):
+    # a row of a (a column of b) alone lands in another block than in
+    # the whole product, so no block boundary may change an output
+    dtype, mode = path
+    rng = np.random.default_rng(seed)
+    rate = float(rng.choice([0.0, 0.5 / k, 0.05]))
+    a, b = _adversarial(rng, (m, k), dtype, rate), _adversarial(rng, (k, n), dtype, rate)
+    whole = T.matmul(a, b, mode)
+    for i in range(m):
+        row = T.matmul(T.Tensor(a.data[i:i + 1], dtype), b, mode)
+        assert row.tobytes() == whole[i:i + 1].tobytes(), i
+    for j in range(n):
+        col = T.matmul(a, T.Tensor(b.data[:, j:j + 1], dtype), mode)
+        assert col.tobytes() == np.ascontiguousarray(whole[:, j:j + 1]).tobytes(), j
+
+
+def _before_a_guard_page(count):
+    """An f32 array of `count` elements in an anonymous mapping whose
+    last element ends right before a PROT_NONE page.  Skips the test
+    where mprotect is not available."""
+    mprotect = getattr(ctypes.CDLL(None), "mprotect", None)
+    if mprotect is None:
+        pytest.skip("no mprotect")
+    mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    size = 4 * count
+    pages = -(-size // mmap.PAGESIZE)
+    region = mmap.mmap(-1, (pages + 1) * mmap.PAGESIZE)
+    start = ctypes.addressof(ctypes.c_char.from_buffer(region))
+    if mprotect(start + pages * mmap.PAGESIZE, mmap.PAGESIZE, 0) != 0:
+        pytest.skip("mprotect failed")
+    return np.frombuffer(region, np.float32, count, pages * mmap.PAGESIZE - size)
+
+
+@pytest.mark.parametrize("guarded", ["a", "b", "c"])
+def test_matmul_touches_nothing_past_its_operands(guarded, monkeypatch):
+    # the compiled mm with a, b or c ending right before a page that
+    # faults on any access: masked column tails must not reach it
+    helpers.bind_loops(monkeypatch, "avx2")
+    c_mm = ctypes.CDLL(str(_native._build())).mm
+    c_mm.argtypes = _native._LOOPS["mm"]
+    rng = np.random.default_rng(1715)
+    m, k = 7, 8  # one six-row block and a one-row tail
+    for n in range(1, 18):
+        shapes = {"a": (m, k), "b": (k, n), "c": (m, n)}
+        ops = {name: np.empty(shape, np.float32) for name, shape in shapes.items()}
+        ops[guarded] = _before_a_guard_page(math.prod(shapes[guarded])).reshape(shapes[guarded])
+        for name in "ab":
+            ops[name][...] = rng.normal(0, 1, shapes[name]).astype(np.float16)
+        for acc16 in (0, 1):
+            c_mm(*(ops[name].ctypes.data for name in "abc"), m, k, n, acc16)
+            assert ops["c"].tobytes() == _native.NUMPY.mm(ops["a"], ops["b"], acc16).tobytes()
 
 
 def test_seq_sum_fold_matches_numpy_fold(monkeypatch):
