@@ -9,9 +9,9 @@ every loop.  Where the library cannot be built or loaded, or the CPU
 lacks AVX2 or F16C, it warns once and returns `NUMPY`, the numpy twins,
 which give the same bits.
 
-Either way each of the four takes C-contiguous arrays of its dtypes and
-returns a fresh array whose NaNs are canonical.  Addresses, output
-buffers and the alignment `mm` wants stay in this module.
+Either way each of the four takes C-contiguous arrays of its dtypes (for
+`mm`, f32 or binary16 patterns, as tensors store them) and returns a
+fresh array whose NaNs are canonical.  Addresses stay in this module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
-import math
 import os
 import pathlib
 import platform
@@ -39,7 +38,7 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 _P, _N = ctypes.c_void_p, ctypes.c_long
 _LOOPS = {
-    "mm": (_P, _P, _P, _N, _N, _N, ctypes.c_int),   # a, b, c, m, k, n, acc16
+    "mm": (_P, _P, _P, _N, _N, _N, ctypes.c_int, ctypes.c_int),  # a, b, c, m, k, n, f16, acc16
     "f32_to_f16": (_P, _P, _N),                     # x, h, n
     "f16_to_f32": (_P, _P, _N),                     # h, x, n
     "fold_rows": (_P, _P, _N, _N),                  # x, out, rows, cols
@@ -93,15 +92,15 @@ def _bind(path) -> types.SimpleNamespace:
     for fn, argtypes in zip(loops, _LOOPS.values()):
         fn.argtypes, fn.restype = argtypes, None
     c_mm, c_store, c_widen, c_fold = loops
+    c_mm.restype = ctypes.c_int   # 0, or -1 when mm cannot allocate
 
     def mm(a, b, acc16):
         (m, k), n = a.shape, b.shape[1]
-        pb = b.ctypes.data
-        if pb % 32:
-            b, pb = _aligned_f32((k, n), b)
-        c, pc = _aligned_f32((m, n))
-        c_mm(a.ctypes.data, pb, pc, m, k, n, acc16)
-        return canonicalize_f32_nans(c)
+        c = np.empty((m, n), dtype=np.float32)
+        if c_mm(a.ctypes.data, b.ctypes.data, c.ctypes.data, m, k, n,
+                a.dtype == np.uint16, acc16):
+            raise MemoryError(f"matmul {m}x{k} @ {k}x{n}: cannot allocate its packed operands")
+        return c
 
     def f32_to_f16(x):
         h = np.empty(x.shape, dtype=np.uint16)
@@ -109,9 +108,8 @@ def _bind(path) -> types.SimpleNamespace:
         return h
 
     def f16_to_f32(h):
-        # aligned, so that mm takes a widened b without copying it
-        x, px = _aligned_f32(h.shape)
-        c_widen(h.ctypes.data, px, h.size)
+        x = np.empty(h.shape, dtype=np.float32)
+        c_widen(h.ctypes.data, x.ctypes.data, h.size)
         return x
 
     def fold_rows(rows):
@@ -121,24 +119,6 @@ def _bind(path) -> types.SimpleNamespace:
 
     return types.SimpleNamespace(mm=mm, f32_to_f16=f32_to_f16,
                                  f16_to_f32=f16_to_f32, fold_rows=fold_rows)
-
-
-def _aligned_f32(shape, values: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """An f32 array of `shape` whose data starts on a 32-byte boundary,
-    holding `values` if given, and that address.
-
-    mm reads rows of b and c eight floats at a time.  Off a 32-byte
-    boundary every other load splits across two cache lines, which made a
-    128x784x256 product ~40% slower on an AVX2 Xeon, and where numpy's
-    allocator puts an array is down to the heap."""
-    size = math.prod(shape)
-    buf = np.empty(size + 7, dtype=np.float32)
-    addr = buf.ctypes.data
-    start = -addr % 32 // 4
-    out = buf[start:start + size].reshape(shape)
-    if values is not None:
-        out[...] = values
-    return out, addr + 4 * start
 
 
 def canonicalize_f32_nans(x: np.ndarray) -> np.ndarray:
@@ -153,6 +133,7 @@ def canonicalize_f32_nans(x: np.ndarray) -> np.ndarray:
 def _matmul_loop(a: np.ndarray, b: np.ndarray, acc16: bool) -> np.ndarray:
     """`mm` as a numpy loop over k, rounding each ACC16 sum with numpy's
     own half conversion."""
+    a, b = (x.view(np.float16).astype(np.float32) if x.dtype == np.uint16 else x for x in (a, b))
     (m, k), n = a.shape, b.shape[1]
     acc = np.zeros((m, n), dtype=np.float32)
     prod = np.empty((m, n), dtype=np.float32)

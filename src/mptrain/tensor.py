@@ -119,10 +119,11 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32) -> np.ndarra
 
     Each product is formed in f32 and added to an f32 accumulator in
     order k = 0..K-1.  ACC32 leaves the sum in f32.  ACC16 (products are
-    still exact: 11-bit significands) rounds the accumulator to the
-    binary16 grid after every add, modeling hardware whose accumulator
-    is f16, so its result is already on that grid.  Every NaN of the
-    result is the canonical one.  The loop is `mm` of `_native`.
+    still exact: 11-bit significands) rounds each add's f32 sum to the
+    binary16 grid, modeling hardware whose accumulator is f16, so its
+    result is already on that grid.  Every NaN is the canonical one.  The
+    loop is `_native`'s `mm`, which reads the stored buffers as they are
+    (F16 as patterns) and raises MemoryError when it cannot allocate.
     """
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ValueError("matmul expects 2-d tensors")
@@ -132,7 +133,7 @@ def matmul(a: Tensor, b: Tensor, mode: AccumMode = AccumMode.ACC32) -> np.ndarra
         raise ValueError("matmul operands must share a dtype")
     if mode is AccumMode.ACC16 and a.dtype is not DType.F16:
         raise ValueError("ACC16 accumulation is defined for F16 operands only")
-    return lib().mm(a.widen(), b.widen(), mode is AccumMode.ACC16)
+    return lib().mm(a.data, b.data, mode is AccumMode.ACC16)
 
 
 def seq_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:

@@ -5,6 +5,7 @@ import mmap
 import os
 import shutil
 import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -229,7 +230,7 @@ def test_matmul_acc32_f32_result_nan_is_canonical(a_bits, b_bits):
 
 def _numpy_mm(a, b, mode):
     """`T.matmul` on checked operands through the numpy twin of `mm`."""
-    return _native.NUMPY.mm(a.widen(), b.widen(), mode is T.AccumMode.ACC16)
+    return _native.NUMPY.mm(a.data, b.data, mode is T.AccumMode.ACC16)
 
 
 _F16_SPECIAL = [0x0000, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0xFE00, 0x7C01, 0xFFFF,
@@ -267,55 +268,39 @@ def test_matmul_kernel_matches_numpy_loop_bit_for_bit():
             (case, dtype, mode, (m, k, n))
 
 
-def test_matmul_hands_mm_aligned_operands(monkeypatch):
-    # F32 b that starts 4 bytes past a 32-byte boundary, in a small and a
-    # large product: the compiled mm gets an aligned copy of it and an
-    # aligned accumulator, and the bits stay those of the numpy loop.  An
-    # F16 b is widened into an aligned array, which mm takes as it is.
-    seen, widened = [], []
-    load = ctypes.CDLL
+def _at_offset(values, offset):
+    """A copy of the array `values` whose data starts `offset` bytes past
+    a 32-byte boundary."""
+    buf = np.empty(values.nbytes + 32, dtype=np.uint8)
+    start = (offset - buf.ctypes.data) % 32
+    out = buf[start:start + values.nbytes].view(values.dtype).reshape(values.shape)
+    out[...] = values
+    return out
 
-    class Library:
-        def __init__(self, path):
-            self._dll = load(path)
-            real_mm, real_widen = self._dll.mm, self._dll.f16_to_f32
-            real_mm.argtypes = _native._LOOPS["mm"]
-            real_widen.argtypes = _native._LOOPS["f16_to_f32"]
 
-            def mm(a, b, c, *shape):
-                seen.append((b, c))
-                return real_mm(a, b, c, *shape)
-
-            def f16_to_f32(h, x, n):
-                widened.append(x)
-                return real_widen(h, x, n)
-            self.mm, self.f16_to_f32 = mm, f16_to_f32
-
-        def __getattr__(self, name):
-            return getattr(self._dll, name)
-
-    monkeypatch.setattr(_native.ctypes, "CDLL", Library)
+def test_matmul_takes_stored_operands_at_any_offset(monkeypatch):
+    # the compiled mm reads each tensor's buffer where numpy put it: F32
+    # operands at every 4-byte offset mod 32 and F16 patterns at every
+    # 2-byte offset give the bits of the numpy loop in all three paths,
+    # and no F16 product widens an operand in Python
     helpers.bind_loops(monkeypatch, "avx2")
+    widened = []
+    to_f32 = b16.to_f32_array
+    monkeypatch.setattr(b16, "to_f32_array",
+                        lambda bits: widened.append(bits.shape) or to_f32(bits))
     rng = np.random.default_rng(1714)
-    for m, k, n in [(3, 5, 7), (64, 256, 72)]:
-        buf = np.empty(k * n + 8, dtype=np.float32)
-        start = (-buf.ctypes.data % 32 + 4) // 4
-        b = buf[start:start + k * n].reshape(k, n)
-        b[...] = _adversarial(rng, (k, n), T.DType.F32, 0.01).data
-        assert b.ctypes.data % 32 == 4
-        a = _adversarial(rng, (m, k), T.DType.F32, 0.01)
-        b = T.Tensor(b, T.DType.F32)
-        assert helpers.bits_equal(T.matmul(a, b), _numpy_mm(a, b, T.AccumMode.ACC32))
-    assert [(b % 32, c % 32) for b, c in seen] == [(0, 0), (0, 0)]
+    paths = [(T.DType.F32, T.AccumMode.ACC32, 4), (T.DType.F16, T.AccumMode.ACC32, 2),
+             (T.DType.F16, T.AccumMode.ACC16, 2)]
+    for m, k, n in [(3, 5, 7), (64, 256, 72), (128, 256, 10), (9, 300, 8)]:
+        for dtype, mode, step in paths:
+            a0, b0 = (_adversarial(rng, shape, dtype, 0.01).data for shape in [(m, k), (k, n)])
+            for offset in range(0, 32, step):
+                a, b = (T.Tensor(_at_offset(x, at), dtype)
+                        for x, at in [(a0, offset), (b0, -offset % 32)])
+                assert (a.data.ctypes.data - offset) % 32 == (b.data.ctypes.data + offset) % 32 == 0
+                assert helpers.bits_equal(T.matmul(a, b, mode), _numpy_mm(a, b, mode)), \
+                    ((m, k, n), dtype, mode, offset)
     assert widened == []
-    for m, k, n in [(3, 5, 7), (128, 256, 10)]:
-        a, b = (_adversarial(rng, shape, T.DType.F16, 0.01) for shape in [(m, k), (k, n)])
-        for mode in (T.AccumMode.ACC32, T.AccumMode.ACC16):
-            seen.clear()
-            widened.clear()
-            assert helpers.bits_equal(T.matmul(a, b, mode), _numpy_mm(a, b, mode))
-            (pb, pc), = seen
-            assert pb == widened[1] and (pb % 32, pc % 32) == (0, 0)
 
 
 def test_matmul_without_kernel_warns_once_and_keeps_the_bits(monkeypatch):
@@ -429,41 +414,126 @@ def test_matmul_rows_and_columns_alone_give_the_same_bits(m, k, n, path, seed):
         assert col.tobytes() == np.ascontiguousarray(whole[:, j:j + 1]).tobytes(), j
 
 
-def _before_a_guard_page(count):
-    """An f32 array of `count` elements in an anonymous mapping whose
-    last element ends right before a PROT_NONE page.  Skips the test
-    where mprotect is not available."""
+def _before_a_guard_page(count, dtype):
+    """An array of `count` elements of `dtype` in an anonymous mapping
+    whose last element ends right before a PROT_NONE page.  Skips the
+    test where mprotect is not available."""
     mprotect = getattr(ctypes.CDLL(None), "mprotect", None)
     if mprotect is None:
         pytest.skip("no mprotect")
     mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
-    size = 4 * count
+    size = np.dtype(dtype).itemsize * count
     pages = -(-size // mmap.PAGESIZE)
     region = mmap.mmap(-1, (pages + 1) * mmap.PAGESIZE)
     start = ctypes.addressof(ctypes.c_char.from_buffer(region))
     if mprotect(start + pages * mmap.PAGESIZE, mmap.PAGESIZE, 0) != 0:
         pytest.skip("mprotect failed")
-    return np.frombuffer(region, np.float32, count, pages * mmap.PAGESIZE - size)
+    return np.frombuffer(region, dtype, count, pages * mmap.PAGESIZE - size)
 
 
 @pytest.mark.parametrize("guarded", ["a", "b", "c"])
 def test_matmul_touches_nothing_past_its_operands(guarded, monkeypatch):
     # the compiled mm with a, b or c ending right before a page that
-    # faults on any access: masked column tails must not reach it
+    # faults on any access, on f32 and on binary16-pattern operands: the
+    # pack of b's last columns and the masked tails of c must not reach it
     helpers.bind_loops(monkeypatch, "avx2")
     c_mm = ctypes.CDLL(str(_native._build())).mm
     c_mm.argtypes = _native._LOOPS["mm"]
     rng = np.random.default_rng(1715)
     m, k = 7, 8  # one six-row block and a one-row tail
-    for n in range(1, 18):
-        shapes = {"a": (m, k), "b": (k, n), "c": (m, n)}
-        ops = {name: np.empty(shape, np.float32) for name, shape in shapes.items()}
-        ops[guarded] = _before_a_guard_page(math.prod(shapes[guarded])).reshape(shapes[guarded])
-        for name in "ab":
-            ops[name][...] = rng.normal(0, 1, shapes[name]).astype(np.float16)
-        for acc16 in (0, 1):
-            c_mm(*(ops[name].ctypes.data for name in "abc"), m, k, n, acc16)
-            assert ops["c"].tobytes() == _native.NUMPY.mm(ops["a"], ops["b"], acc16).tobytes()
+    for f16, storage in [(0, np.float32), (1, np.uint16)]:
+        for n in range(1, 18):
+            shapes = {"a": (m, k), "b": (k, n), "c": (m, n)}
+            dtypes = {"a": storage, "b": storage, "c": np.float32}
+            ops = {name: np.empty(shapes[name], dtypes[name]) for name in "abc"}
+            ops[guarded] = _before_a_guard_page(
+                math.prod(shapes[guarded]), dtypes[guarded]).reshape(shapes[guarded])
+            for name in "ab":
+                values = rng.normal(0, 1, shapes[name]).astype(np.float16)
+                ops[name][...] = values.view(np.uint16) if f16 else values
+            for acc16 in (0, 1):
+                assert c_mm(*(ops[name].ctypes.data for name in "abc"), m, k, n, f16, acc16) == 0
+                assert ops["c"].tobytes() == _native.NUMPY.mm(ops["a"], ops["b"], acc16).tobytes()
+
+
+_RUN_UNDER_LIMIT = """
+import resource, sys
+import numpy as np
+from mptrain import _native, tensor as T
+if _native.lib() is _native.NUMPY:
+    sys.exit(77)
+a = T.Tensor(np.full((2, 4096), 0x3C00, np.uint16), T.DType.F16)
+b = T.Tensor(np.full((4096, 4096), 0x3C00, np.uint16), T.DType.F16)
+with open("/proc/self/statm") as f:
+    size = int(f.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (size + (32 << 20), resource.RLIM_INFINITY))
+try:
+    T.matmul(a, b)
+except MemoryError as e:
+    print(e)
+print(T.matmul(a, T.Tensor(b.data[:, :8], T.DType.F16))[0, 0])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_matmul_that_cannot_allocate_raises_memory_error(tmp_path):
+    # with 32 MB of address space left, the 64 MB packed b of an F16
+    # 2x4096 @ 4096x4096 product does not fit: MemoryError names the
+    # shape, and a small product after it still runs
+    env = {**os.environ, "PYTHONPATH": str(_native._SOURCE.parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _RUN_UNDER_LIMIT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode == 77:
+        pytest.skip("the compiled loops cannot run here")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "matmul 2x4096 @ 4096x4096: cannot allocate its packed operands", "4096.0"]
+
+
+_RUN_UNDER_ASAN = """
+import sys
+import numpy as np
+from mptrain import _native
+loops, twins = _native._bind(sys.argv[1]), _native.NUMPY
+rng = np.random.default_rng(1716)
+for m in range(1, 10):
+    for n in [*range(1, 34), 256]:
+        a, b = (rng.normal(0, 4, shape).astype(np.float16) for shape in [(m, 11), (11, n)])
+        for x, y in [(a.astype(np.float32), b.astype(np.float32)),
+                     (a.view(np.uint16), b.view(np.uint16))]:
+            for acc16 in (0, 1):
+                assert loops.mm(x, y, acc16).tobytes() == twins.mm(x, y, acc16).tobytes()
+        for name, x in [("f16_to_f32", b.view(np.uint16)), ("f32_to_f16", b.astype(np.float32)),
+                        ("fold_rows", b.astype(np.float32))]:
+            assert getattr(loops, name)(x).tobytes() == getattr(twins, name)(x).tobytes()
+print("ok")
+"""
+
+
+def _libasan():
+    """The AddressSanitizer runtime of `cc`, or None."""
+    if shutil.which("cc") is None:
+        return None
+    path = subprocess.run(["cc", "-print-file-name=libasan.so"],
+                          capture_output=True, text=True).stdout.strip()
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+@pytest.mark.skipif(_libasan() is None, reason="no C compiler with AddressSanitizer")
+def test_native_loops_pass_address_sanitizer(tmp_path):
+    # every loop built with -fsanitize=address, on the tails of mm's
+    # pack, its blocks and the conversions: a read or write past any
+    # heap buffer (numpy's or the pack's) ends the run with a report
+    lib = tmp_path / "native-asan.so"
+    subprocess.run(["cc", *_native._FLAGS, "-fsanitize=address", "-o", str(lib),
+                    str(_native._SOURCE)], check=True, capture_output=True, timeout=120)
+    env = {**os.environ, "PYTHONPATH": str(_native._SOURCE.parents[1]),
+           "LD_PRELOAD": _libasan(), "ASAN_OPTIONS": "detect_leaks=0"}
+    proc = subprocess.run([sys.executable, "-c", _RUN_UNDER_ASAN, str(lib)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if "this CPU has no AVX2" in proc.stderr:
+        pytest.skip("this CPU cannot run the compiled loops")
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr[-3000:]
 
 
 def test_seq_sum_fold_matches_numpy_fold(monkeypatch):
